@@ -2,13 +2,29 @@
 //! DCIM design can be generated within one hour" step (netlist templates,
 //! Verilog emission, floorplanning). Without the commercial P&R in the
 //! loop, generation is milliseconds.
+//!
+//! Besides the 8K Fig. 6 designs, the generate / validate / emit arms run
+//! at real `compile` sizes: the knee designs `compile` selects for INT8 at
+//! 128K and BF16 at 32K weights (2.0 MB and 0.6 MB of Verilog).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sega_bench::fig6_designs;
 use sega_cells::Technology;
+use sega_estimator::{DcimDesign, Precision};
 use sega_layout::floorplan::floorplan_macro;
 use sega_layout::LayoutOptions;
-use sega_netlist::{generators::generate_macro, verilog};
+use sega_netlist::{generators::generate_macro, verilog, Design};
+
+/// The same modules added to a fresh design by hand, so `validate` runs in
+/// full (a generated design carries a validated mark).
+fn unvalidated(design: &Design) -> Design {
+    let mut fresh = Design::new();
+    for m in design.modules() {
+        fresh.add_module(m.clone()).unwrap();
+    }
+    fresh.set_top(design.top().unwrap().name.clone()).unwrap();
+    fresh
+}
 
 fn bench_generation(c: &mut Criterion) {
     let (int8, bf16) = fig6_designs();
@@ -31,6 +47,30 @@ fn bench_generation(c: &mut Criterion) {
     group.bench_function("floorplan_int8_8k", |b| {
         b.iter(|| floorplan_macro(&int8, &tech, &opts).unwrap())
     });
+
+    let knees = [
+        (
+            "int8_128k",
+            DcimDesign::for_precision(Precision::Int8, 16384, 64, 1, 8).unwrap(),
+        ),
+        (
+            "bf16_32k",
+            DcimDesign::for_precision(Precision::Bf16, 4096, 64, 1, 8).unwrap(),
+        ),
+    ];
+    for (label, design) in &knees {
+        group.bench_function(format!("netlist_{label}"), |b| {
+            b.iter(|| generate_macro(design).unwrap())
+        });
+        let netlist = generate_macro(design).unwrap();
+        let fresh = unvalidated(&netlist);
+        group.bench_function(format!("validate_{label}"), |b| {
+            b.iter(|| fresh.validate().unwrap())
+        });
+        group.bench_function(format!("verilog_emit_{label}"), |b| {
+            b.iter(|| verilog::emit(&netlist).unwrap())
+        });
+    }
     group.finish();
 }
 

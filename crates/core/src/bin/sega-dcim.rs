@@ -116,6 +116,37 @@ use sega_layout::export::to_ascii;
 use sega_moga::Nsga2Config;
 use sega_wire::Json;
 
+/// Writes CLI output to stdout. When stdout is gone (the reading end of a
+/// pipe closed early, as in `sega-dcim explore … | head -1`) the process
+/// ends quietly with success, where `print!` would panic.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -317,7 +348,7 @@ fn compile(flags: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let strategy = get_strategy(flags)?;
     let compiler = compiler_from(flags)?;
-    println!("compiling {spec} (strategy {strategy:?}) …");
+    outln!("compiling {spec} (strategy {strategy:?}) …");
     let compiled = compiler
         .compile(&spec, strategy)
         .map_err(|e| e.to_string())?;
@@ -360,11 +391,11 @@ fn compile(flags: &HashMap<String, String>) -> Result<(), String> {
     ));
     fs::write(out.join("report.md"), &report).map_err(|e| e.to_string())?;
 
-    println!("selected: {}", compiled.design);
-    println!("estimate: {}", compiled.estimate);
-    println!();
-    println!("{}", to_ascii(&compiled.layout, 56));
-    println!("wrote {}/macro.v, macro.def, report.md", out.display());
+    outln!("selected: {}", compiled.design);
+    outln!("estimate: {}", compiled.estimate);
+    outln!();
+    outln!("{}", to_ascii(&compiled.layout, 56));
+    outln!("wrote {}/macro.v, macro.def, report.md", out.display());
     Ok(())
 }
 
@@ -403,7 +434,7 @@ fn explore(flags: &HashMap<String, String>) -> Result<(), String> {
     let compiler = compiler_from(flags)?;
     let result = compiler.explore(&spec);
     if flags.contains_key("json") {
-        println!("{}", exploration_json(&result));
+        outln!("{}", exploration_json(&result));
         return Ok(());
     }
     let rows: Vec<Vec<String>> = result
@@ -429,16 +460,16 @@ fn explore(flags: &HashMap<String, String>) -> Result<(), String> {
         "tops_per_w",
     ];
     if flags.contains_key("csv") {
-        print!("{}", csv_table(&header, &rows));
+        out!("{}", csv_table(&header, &rows));
     } else {
-        println!(
+        outln!(
             "{} Pareto designs for {spec} ({} evaluations, {} distinct estimates, {} cache hits):\n",
             result.solutions.len(),
             result.evaluations,
             result.distinct_evaluations,
             result.cache_hits
         );
-        print!("{}", markdown_table(&header, &rows));
+        out!("{}", markdown_table(&header, &rows));
     }
     Ok(())
 }
@@ -456,16 +487,16 @@ fn estimate_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
         &OperatingConditions::paper_default(),
     );
     if flags.contains_key("json") {
-        println!("{}", estimate_json(&design, &est));
+        outln!("{}", estimate_json(&design, &est));
         return Ok(());
     }
-    println!("design   : {design}");
-    println!("wstore   : {}", design.wstore());
-    println!("estimate : {est}");
-    println!("breakdown (NOR-gate area units):");
+    outln!("design   : {design}");
+    outln!("wstore   : {}", design.wstore());
+    outln!("estimate : {est}");
+    outln!("breakdown (NOR-gate area units):");
     for (name, cost) in est.breakdown.iter() {
         if cost.area > 0.0 {
-            println!(
+            outln!(
                 "  {name:>18}: {:>12.0}  ({:4.1}%)",
                 cost.area,
                 100.0 * cost.area / est.unit.area
@@ -682,7 +713,7 @@ fn batch_connected(flags: &HashMap<String, String>, raw_addr: &str) -> Result<()
                 .map_err(|e| format!("cannot write report `{path}`: {e}"))?;
             eprintln!("wrote batch report to {path}");
         }
-        None => println!("{document}"),
+        None => outln!("{document}"),
     }
     eprintln!(
         "{} jobs on daemon {addr}: {} evaluations, {} distinct estimates, {} cache hits",
@@ -973,7 +1004,7 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
                     .map_err(|e| format!("cannot write report `{path}`: {e}"))?;
                 eprintln!("wrote batch report to {path}");
             }
-            None => println!("{document}"),
+            None => outln!("{document}"),
         }
     } else {
         // A stopped run's report would cover only a prefix — withhold it

@@ -101,10 +101,10 @@ pub fn ensure_adder_tree(design: &mut Design, h: u32, k: u32) -> GenResult {
                 vec![
                     ("a", operands[2 * j].clone()),
                     ("b", operands[2 * j + 1].clone()),
-                    ("sum", Signal::net(&wire)),
+                    ("sum", Signal::net(wire.clone())),
                 ],
             );
-            next.push(Signal::net(&wire));
+            next.push(Signal::net(wire));
         }
         if operands.len() % 2 == 1 {
             next.push(zero_extend(
@@ -264,11 +264,11 @@ pub fn ensure_result_fusion(design: &mut Design, bw: u32, bx: u32, h: u32) -> Ge
                 vec![
                     ("a", operands[2 * j].clone()),
                     ("b", operands[2 * j + 1].clone()),
-                    ("sum", Signal::net(&wire)),
+                    ("sum", Signal::net(wire.clone())),
                 ],
             );
             // Truncate the carry: fused width is the full precision already.
-            next.push(Signal::slice(&wire, w - 1, 0));
+            next.push(Signal::slice(wire, w - 1, 0));
         }
         if operands.len() % 2 == 1 {
             next.push(operands.last().expect("odd operand").clone());
@@ -311,6 +311,8 @@ pub fn ensure_input_buffer(design: &mut Design, h: u32, bx: u32, k: u32) -> GenR
     m.add_input("phase", phase_w)?;
     m.add_output("q", h * k)?;
     m.add_wire("held", h * bx)?;
+    let selectors = if sel.is_some() { h * k } else { 0 };
+    m.instances.reserve((h * bx + selectors) as usize);
     for i in 0..(h * bx) {
         m.add_cell(
             format!("r{i}"),
@@ -336,13 +338,13 @@ pub fn ensure_input_buffer(design: &mut Design, h: u32, bx: u32, k: u32) -> GenR
                         } else {
                             Signal::zeros(1)
                         };
-                        m.add_assign(Signal::bit(&cand, c), src);
+                        m.add_assign(Signal::bit(cand.clone(), c), src);
                     }
                     m.add_instance(
                         format!("s{out_bit}"),
                         sel,
                         vec![
-                            ("d", Signal::net(&cand)),
+                            ("d", Signal::net(cand)),
                             (
                                 "sel",
                                 Signal::slice("phase", ceil_log2(chunks as u64) - 1, 0),

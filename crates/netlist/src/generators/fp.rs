@@ -56,7 +56,7 @@ pub fn ensure_pre_alignment(design: &mut Design, h: u32, be: u32, bm: u32) -> Ge
                 vec![
                     ("a", level[2 * j].clone()),
                     ("b", level[2 * j + 1].clone()),
-                    ("sum", Signal::net(&wire)),
+                    ("sum", Signal::net(wire.clone())),
                 ],
             );
             cmp_id += 1;
@@ -82,13 +82,13 @@ pub fn ensure_pre_alignment(design: &mut Design, h: u32, be: u32, bm: u32) -> Ge
             vec![
                 ("a", Signal::net("xemax")),
                 ("b", Signal::slice("xe", (i + 1) * be - 1, i * be)),
-                ("sum", Signal::net(&diff)),
+                ("sum", Signal::net(diff.clone())),
             ],
         );
         let amount = if amt_w <= be {
-            Signal::slice(&diff, amt_w - 1, 0)
+            Signal::slice(diff, amt_w - 1, 0)
         } else {
-            zero_extend(Signal::slice(&diff, be - 1, 0), be, amt_w)
+            zero_extend(Signal::slice(diff, be - 1, 0), be, amt_w)
         };
         m.add_instance(
             format!("sh{i}"),

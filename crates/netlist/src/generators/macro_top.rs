@@ -43,6 +43,7 @@ pub fn ensure_column(design: &mut Design, h: u32, l: u32, k: u32, bx: u32) -> Ge
     m.add_wire("tsum", din)?;
 
     // The memory array: L weight bits hard-wired into each compute unit.
+    m.instances.reserve((h * l + h + 2) as usize);
     for i in 0..(h * l) {
         m.add_cell(
             format!("sram{i}"),
@@ -116,7 +117,7 @@ pub fn generate_macro(design_point: &DcimDesign) -> Result<Design, NetlistError>
         DcimDesign::Fp(p) => generate_fp_macro(&mut d, p)?,
     };
     d.set_top(top)?;
-    d.validate()?;
+    d.validate_and_mark()?;
     Ok(d)
 }
 
@@ -148,6 +149,7 @@ fn generate_int_macro(d: &mut Design, p: &IntParams) -> GenResult {
     m.add_wire("xb", h * k)?;
     m.add_wire("colq", n * qw)?;
 
+    m.instances.reserve((1 + n + groups) as usize);
     m.add_instance(
         "ibuf0",
         &ibuf,
@@ -225,6 +227,7 @@ fn generate_fp_macro(d: &mut Design, p: &FpParams) -> GenResult {
     m.add_wire("colq", n * qw)?;
     m.add_wire("fused", groups * br)?;
 
+    m.instances.reserve((2 + n + 2 * groups) as usize);
     m.add_instance(
         "palign0",
         &palign,

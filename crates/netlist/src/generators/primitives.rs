@@ -104,11 +104,11 @@ pub fn ensure_selector(design: &mut Design, n: u32) -> GenResult {
                     ("a", level[2 * j].clone()),
                     ("b", level[2 * j + 1].clone()),
                     ("sel", Signal::bit("sel", depth)),
-                    ("y", Signal::bit(&wire, j as u32)),
+                    ("y", Signal::bit(wire.clone(), j as u32)),
                 ],
             );
             mux_id += 1;
-            next.push(Signal::bit(&wire, j as u32));
+            next.push(Signal::bit(wire.clone(), j as u32));
         }
         if level.len() % 2 == 1 {
             next.push(level.last().expect("nonempty level").clone());
@@ -153,13 +153,13 @@ pub fn ensure_shifter(design: &mut Design, w: u32) -> GenResult {
             } else {
                 Signal::zeros(1)
             };
-            m.add_assign(Signal::bit(&cand, a), src);
+            m.add_assign(Signal::bit(cand.clone(), a), src);
         }
         m.add_instance(
             format!("s{i}"),
             &sel,
             vec![
-                ("d", Signal::net(&cand)),
+                ("d", Signal::net(cand)),
                 ("sel", Signal::net("amount")),
                 ("y", Signal::bit("y", i)),
             ],

@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::cells::cell_ports;
@@ -158,22 +159,26 @@ pub struct Instance {
     pub name: String,
     /// What is instantiated.
     pub target: InstanceTarget,
-    /// `(port name, connected signal)` pairs.
-    pub connections: Vec<(String, Signal)>,
+    /// `(port name, connected signal)` pairs. Port names are static: every
+    /// target's port list is fixed by a template or by [`cell_ports`].
+    pub connections: Vec<(&'static str, Signal)>,
 }
 
 /// A signal expression connecting instance ports: a whole net, a bit, a
 /// slice, a constant, or a concatenation.
+///
+/// Net names are [`Cow`]s: the literal names the templates use (`"clk"`,
+/// `"wl"`, …) are borrowed for free, and only generated names own a buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Signal {
     /// A whole named net (port or wire).
-    Net(String),
+    Net(Cow<'static, str>),
     /// One bit of a net: `net[bit]`.
-    Bit(String, u32),
+    Bit(Cow<'static, str>, u32),
     /// An inclusive slice: `net[msb:lsb]`.
     Slice {
         /// Net name.
-        net: String,
+        net: Cow<'static, str>,
         /// Most significant bit (inclusive).
         msb: u32,
         /// Least significant bit (inclusive).
@@ -192,17 +197,17 @@ pub enum Signal {
 
 impl Signal {
     /// Convenience constructor for a whole net.
-    pub fn net(name: impl Into<String>) -> Signal {
+    pub fn net(name: impl Into<Cow<'static, str>>) -> Signal {
         Signal::Net(name.into())
     }
 
     /// Convenience constructor for a single bit.
-    pub fn bit(name: impl Into<String>, bit: u32) -> Signal {
+    pub fn bit(name: impl Into<Cow<'static, str>>, bit: u32) -> Signal {
         Signal::Bit(name.into(), bit)
     }
 
     /// Convenience constructor for an inclusive slice `[msb:lsb]`.
-    pub fn slice(name: impl Into<String>, msb: u32, lsb: u32) -> Signal {
+    pub fn slice(name: impl Into<Cow<'static, str>>, msb: u32, lsb: u32) -> Signal {
         assert!(msb >= lsb, "slice msb must be >= lsb");
         Signal::Slice {
             net: name.into(),
@@ -228,19 +233,19 @@ impl Signal {
                 .net_width(name)
                 .ok_or_else(|| NetlistError::UnknownNet {
                     module: module.name.clone(),
-                    net: name.clone(),
+                    net: name.to_string(),
                 }),
             Signal::Bit(name, bit) => {
                 let w = module
                     .net_width(name)
                     .ok_or_else(|| NetlistError::UnknownNet {
                         module: module.name.clone(),
-                        net: name.clone(),
+                        net: name.to_string(),
                     })?;
                 if *bit >= w {
                     return Err(NetlistError::IndexOutOfRange {
                         module: module.name.clone(),
-                        net: name.clone(),
+                        net: name.to_string(),
                         index: *bit,
                         width: w,
                     });
@@ -252,12 +257,12 @@ impl Signal {
                     .net_width(net)
                     .ok_or_else(|| NetlistError::UnknownNet {
                         module: module.name.clone(),
-                        net: net.clone(),
+                        net: net.to_string(),
                     })?;
                 if *msb >= w {
                     return Err(NetlistError::IndexOutOfRange {
                         module: module.name.clone(),
-                        net: net.clone(),
+                        net: net.to_string(),
                         index: *msb,
                         width: w,
                     });
@@ -365,15 +370,12 @@ impl Module {
         &mut self,
         name: impl Into<String>,
         cell: StandardCell,
-        connections: Vec<(&str, Signal)>,
+        connections: Vec<(&'static str, Signal)>,
     ) {
         self.instances.push(Instance {
             name: name.into(),
             target: InstanceTarget::Cell(cell),
-            connections: connections
-                .into_iter()
-                .map(|(p, s)| (p.to_owned(), s))
-                .collect(),
+            connections,
         });
     }
 
@@ -382,15 +384,12 @@ impl Module {
         &mut self,
         name: impl Into<String>,
         module: impl Into<String>,
-        connections: Vec<(&str, Signal)>,
+        connections: Vec<(&'static str, Signal)>,
     ) {
         self.instances.push(Instance {
             name: name.into(),
             target: InstanceTarget::Module(module.into()),
-            connections: connections
-                .into_iter()
-                .map(|(p, s)| (p.to_owned(), s))
-                .collect(),
+            connections,
         });
     }
 
@@ -416,6 +415,10 @@ pub struct Design {
     modules: Vec<Module>,
     index: HashMap<String, usize>,
     top: Option<String>,
+    /// Set by [`Design::validate_and_mark`] after a clean validation and
+    /// cleared by the only two mutators, [`Design::add_module`] and
+    /// [`Design::set_top`]: while it is set the design is known valid.
+    validated: bool,
 }
 
 impl Design {
@@ -433,6 +436,7 @@ impl Design {
         if self.index.contains_key(&module.name) {
             return Err(NetlistError::DuplicateModule(module.name));
         }
+        self.validated = false;
         self.index.insert(module.name.clone(), self.modules.len());
         self.modules.push(module);
         Ok(())
@@ -463,6 +467,7 @@ impl Design {
         if !self.contains(&name) {
             return Err(NetlistError::UnknownModule(name));
         }
+        self.validated = false;
         self.top = Some(name);
         Ok(())
     }
@@ -481,44 +486,48 @@ impl Design {
     /// exists, every connection names a real port, and every connected
     /// signal's width matches the port width.
     ///
+    /// Port widths are read in place from [`cell_ports`] or the child's
+    /// port list. A design from [`crate::generators::generate_macro`] is
+    /// already validated and marked, so this returns at once for it until
+    /// the design is changed.
+    ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn validate(&self) -> Result<(), NetlistError> {
+        if self.validated {
+            return Ok(());
+        }
         self.top()?;
         for module in &self.modules {
             for inst in &module.instances {
-                let port_widths: Vec<(String, u32)> = match &inst.target {
-                    InstanceTarget::Cell(cell) => cell_ports(*cell)
-                        .iter()
-                        .map(|(n, w, _)| ((*n).to_owned(), *w))
-                        .collect(),
-                    InstanceTarget::Module(name) => {
-                        let child = self
-                            .module(name)
-                            .ok_or_else(|| NetlistError::UnknownModule(name.clone()))?;
-                        child
-                            .ports
-                            .iter()
-                            .map(|p| (p.name.clone(), p.width))
-                            .collect()
-                    }
+                let child = match &inst.target {
+                    InstanceTarget::Cell(_) => None,
+                    InstanceTarget::Module(name) => Some(
+                        self.module(name)
+                            .ok_or_else(|| NetlistError::UnknownModule(name.clone()))?,
+                    ),
                 };
                 for (port, signal) in &inst.connections {
-                    let expected = port_widths
-                        .iter()
-                        .find(|(n, _)| n == port)
-                        .map(|(_, w)| *w)
-                        .ok_or_else(|| NetlistError::UnknownPort {
-                            instance: inst.name.clone(),
-                            target: inst.target.name().to_owned(),
-                            port: port.clone(),
-                        })?;
+                    let expected = match &inst.target {
+                        InstanceTarget::Cell(cell) => cell_ports(*cell)
+                            .iter()
+                            .find(|(name, _, _)| name == port)
+                            .map(|&(_, width, _)| width),
+                        InstanceTarget::Module(_) => {
+                            child.and_then(|c| c.port(port)).map(|p| p.width)
+                        }
+                    }
+                    .ok_or_else(|| NetlistError::UnknownPort {
+                        instance: inst.name.clone(),
+                        target: inst.target.name().to_owned(),
+                        port: (*port).to_owned(),
+                    })?;
                     let actual = signal.width(module)?;
                     if actual != expected {
                         return Err(NetlistError::WidthMismatch {
                             instance: inst.name.clone(),
-                            port: port.clone(),
+                            port: (*port).to_owned(),
                             expected,
                             actual,
                         });
@@ -538,6 +547,21 @@ impl Design {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Validates the design and records a clean result, so later
+    /// [`validate`](Design::validate) calls (the one inside
+    /// [`crate::verilog::emit`] included) return at once until the next
+    /// [`add_module`](Design::add_module) or [`set_top`](Design::set_top).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`validate`](Design::validate); a failed validation records
+    /// nothing.
+    pub(crate) fn validate_and_mark(&mut self) -> Result<(), NetlistError> {
+        self.validate()?;
+        self.validated = true;
         Ok(())
     }
 }
@@ -679,6 +703,175 @@ mod tests {
     fn no_top_is_an_error() {
         let d = Design::new();
         assert!(matches!(d.validate(), Err(NetlistError::NoTop)));
+    }
+
+    /// A one-module design, `tiny` as top, with a NOR instance wired by
+    /// `connections` and an optional extra assignment.
+    fn tiny_design(
+        connections: Vec<(&'static str, Signal)>,
+        assign: Option<(Signal, Signal)>,
+    ) -> Design {
+        let mut m = tiny_module();
+        m.add_cell("u0", StandardCell::Nor, connections);
+        if let Some((lhs, rhs)) = assign {
+            m.add_assign(lhs, rhs);
+        }
+        let mut d = Design::new();
+        d.add_module(m).unwrap();
+        d.set_top("tiny").unwrap();
+        d
+    }
+
+    #[test]
+    fn validate_error_no_top_comes_first() {
+        // The module is broken too, but a missing top is reported first.
+        let mut d = Design::new();
+        let mut m = tiny_module();
+        m.add_cell("u0", StandardCell::Nor, vec![("q", Signal::net("ghost"))]);
+        d.add_module(m).unwrap();
+        assert_eq!(d.validate(), Err(NetlistError::NoTop));
+    }
+
+    #[test]
+    fn validate_error_unknown_module() {
+        let mut m = tiny_module();
+        // Bad connections too: the missing target is reported first.
+        m.add_instance("c0", "ghost", vec![("nope", Signal::net("ghost"))]);
+        let mut d = Design::new();
+        d.add_module(m).unwrap();
+        d.set_top("tiny").unwrap();
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::UnknownModule("ghost".into()))
+        );
+    }
+
+    #[test]
+    fn validate_error_unknown_port() {
+        // A cell port, checked before the (also unknown) net.
+        let d = tiny_design(vec![("q", Signal::net("ghost"))], None);
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::UnknownPort {
+                instance: "u0".into(),
+                target: "NOR".into(),
+                port: "q".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn validate_error_unknown_port_of_child_module() {
+        let mut parent = Module::new("parent");
+        parent.add_input("a", 4).unwrap();
+        // `t` is a wire of `tiny`, not a port.
+        parent.add_instance("t0", "tiny", vec![("t", Signal::net("a"))]);
+        let mut d = Design::new();
+        d.add_module(tiny_module()).unwrap();
+        d.add_module(parent).unwrap();
+        d.set_top("parent").unwrap();
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::UnknownPort {
+                instance: "t0".into(),
+                target: "tiny".into(),
+                port: "t".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn validate_error_unknown_net() {
+        let d = tiny_design(
+            vec![("a", Signal::bit("a", 0)), ("b", Signal::net("ghost"))],
+            None,
+        );
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::UnknownNet {
+                module: "tiny".into(),
+                net: "ghost".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn validate_error_index_out_of_range() {
+        let d = tiny_design(vec![("a", Signal::bit("a", 4))], None);
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::IndexOutOfRange {
+                module: "tiny".into(),
+                net: "a".into(),
+                index: 4,
+                width: 4,
+            })
+        );
+        let d = tiny_design(
+            vec![],
+            Some((Signal::slice("t", 2, 1), Signal::slice("b", 1, 0))),
+        );
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::IndexOutOfRange {
+                module: "tiny".into(),
+                net: "t".into(),
+                index: 2,
+                width: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn validate_error_width_mismatch_on_instance() {
+        // The instance is checked before the (also mismatched) assignment.
+        let d = tiny_design(
+            vec![("a", Signal::bit("a", 0)), ("y", Signal::net("t"))],
+            Some((Signal::net("y"), Signal::net("a"))),
+        );
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::WidthMismatch {
+                instance: "u0".into(),
+                port: "y".into(),
+                expected: 1,
+                actual: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn validate_error_width_mismatch_on_assign() {
+        let d = tiny_design(
+            vec![("a", Signal::bit("a", 0)), ("y", Signal::net("y"))],
+            Some((Signal::net("t"), Signal::slice("b", 2, 0))),
+        );
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::WidthMismatch {
+                instance: "assign in `tiny`".into(),
+                port: String::new(),
+                expected: 2,
+                actual: 3,
+            })
+        );
+    }
+
+    #[test]
+    fn mutation_clears_the_validated_mark() {
+        let mut d = tiny_design(vec![("y", Signal::net("y"))], None);
+        d.validate_and_mark().unwrap();
+        let mut bad = Module::new("bad");
+        bad.add_instance("c0", "ghost", vec![]);
+        d.add_module(bad).unwrap();
+        // Unreachable from the top, but validation covers every module.
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::UnknownModule("ghost".into()))
+        );
+        assert!(d.validate_and_mark().is_err());
+        d.set_top("bad").unwrap();
+        assert!(d.validate().is_err(), "set_top must not mark");
     }
 
     #[test]

@@ -10,8 +10,11 @@
 use std::collections::HashMap;
 
 use crate::ir::{Design, InstanceTarget, NetlistError};
-use sega_cells::{Cost, StandardCell};
+use sega_cells::{Cost, StandardCell, ALL_CELLS};
 use sega_estimator::MacroEstimate;
+
+/// Per-cell counts indexed by `StandardCell as usize` (Table III order).
+type Counts = [u64; ALL_CELLS.len()];
 
 /// Counts standard cells under the design's top module.
 ///
@@ -19,8 +22,7 @@ use sega_estimator::MacroEstimate;
 ///
 /// Fails if the design has no top or references unknown modules.
 pub fn cell_counts(design: &Design) -> Result<HashMap<StandardCell, u64>, NetlistError> {
-    let top = design.top()?.name.clone();
-    cell_counts_of_module(design, &top)
+    cell_counts_of_module(design, &design.top()?.name)
 }
 
 /// Counts standard cells under the named module (recursively).
@@ -32,48 +34,53 @@ pub fn cell_counts_of_module(
     design: &Design,
     module: &str,
 ) -> Result<HashMap<StandardCell, u64>, NetlistError> {
-    let mut memo: HashMap<String, HashMap<StandardCell, u64>> = HashMap::new();
-    counts_rec(design, module, &mut memo)?;
-    Ok(memo.remove(module).expect("memoized after recursion"))
+    let mut memo = HashMap::new();
+    let counts = counts_rec(design, module, &mut memo)?;
+    Ok(ALL_CELLS
+        .into_iter()
+        .filter(|&cell| counts[cell as usize] > 0)
+        .map(|cell| (cell, counts[cell as usize]))
+        .collect())
 }
 
-fn counts_rec(
-    design: &Design,
-    module: &str,
-    memo: &mut HashMap<String, HashMap<StandardCell, u64>>,
-) -> Result<(), NetlistError> {
-    if memo.contains_key(module) {
-        return Ok(());
+fn counts_rec<'d>(
+    design: &'d Design,
+    module: &'d str,
+    memo: &mut HashMap<&'d str, Counts>,
+) -> Result<Counts, NetlistError> {
+    if let Some(&counts) = memo.get(module) {
+        return Ok(counts);
     }
     let m = design
         .module(module)
         .ok_or_else(|| NetlistError::UnknownModule(module.to_owned()))?;
-    let mut counts: HashMap<StandardCell, u64> = HashMap::new();
+    let mut counts = [0; ALL_CELLS.len()];
     for inst in &m.instances {
         match &inst.target {
-            InstanceTarget::Cell(cell) => {
-                *counts.entry(*cell).or_insert(0) += 1;
-            }
+            InstanceTarget::Cell(cell) => counts[*cell as usize] += 1,
             InstanceTarget::Module(child) => {
-                counts_rec(design, child, memo)?;
-                for (cell, n) in memo.get(child.as_str()).expect("memoized child") {
-                    *counts.entry(*cell).or_insert(0) += n;
+                let child = counts_rec(design, child, memo)?;
+                for (total, n) in counts.iter_mut().zip(child) {
+                    *total += n;
                 }
             }
         }
     }
-    memo.insert(module.to_owned(), counts);
-    Ok(())
+    memo.insert(module, counts);
+    Ok(counts)
 }
 
 /// Total area/energy of a cell-count table in NOR-gate units (delay is not
-/// meaningful in a sum and is reported as zero).
+/// meaningful in a sum and is reported as zero). The sum runs in Table III
+/// order, so the same counts always give the same bits.
 pub fn counts_cost(counts: &HashMap<StandardCell, u64>) -> Cost {
     let mut total = Cost::ZERO;
-    for (cell, &n) in counts {
-        let c = cell.cost();
-        total.area += c.area * n as f64;
-        total.energy += c.energy * n as f64;
+    for cell in ALL_CELLS {
+        if let Some(&n) = counts.get(&cell) {
+            let c = cell.cost();
+            total.area += c.area * n as f64;
+            total.energy += c.energy * n as f64;
+        }
     }
     total
 }

@@ -12,9 +12,12 @@ use std::fmt::Write as _;
 
 use crate::cells::cell_verilog;
 use crate::ir::{Design, Dir, InstanceTarget, Module, NetlistError, Signal};
-use sega_cells::StandardCell;
+use sega_cells::ALL_CELLS;
 
 /// Emits the whole design as self-contained structural Verilog.
+///
+/// The text is streamed into one buffer: no per-line or per-connection
+/// strings are built along the way.
 ///
 /// # Errors
 ///
@@ -22,126 +25,149 @@ use sega_cells::StandardCell;
 /// malformed netlist).
 pub fn emit(design: &Design) -> Result<String, NetlistError> {
     design.validate()?;
-    let mut out = String::new();
     let top = design.top()?;
-    let _ = writeln!(
-        out,
-        "// Generated by sega-netlist (SEGA-DCIM template-based generator)"
-    );
-    let _ = writeln!(out, "// Top module: {}\n", top.name);
+    let mut out = String::new();
+    out.push_str("// Generated by sega-netlist (SEGA-DCIM template-based generator)\n");
+    out.push_str("// Top module: ");
+    out.push_str(&top.name);
+    out.push_str("\n\n");
 
-    // Behavioral primitives for every used cell.
-    let mut used_cells: Vec<StandardCell> = used_cells(design).into_iter().collect();
-    used_cells.sort();
-    for cell in used_cells {
-        out.push_str(cell_verilog(cell));
-        out.push('\n');
+    // Behavioral primitives for every used cell, in Table III order.
+    let mut used = [false; ALL_CELLS.len()];
+    for m in design.modules() {
+        for inst in &m.instances {
+            if let InstanceTarget::Cell(c) = inst.target {
+                used[c as usize] = true;
+            }
+        }
+    }
+    for cell in ALL_CELLS {
+        if used[cell as usize] {
+            out.push_str(cell_verilog(cell));
+            out.push('\n');
+        }
     }
 
     // Modules in dependency order.
-    let order = emission_order(design)?;
-    for name in order {
-        let module = design.module(&name).expect("ordered names exist");
+    for module in emission_order(design)? {
         emit_module(&mut out, module);
     }
     Ok(out)
 }
 
-/// All standard cells instantiated anywhere in the design.
-fn used_cells(design: &Design) -> HashSet<StandardCell> {
-    let mut set = HashSet::new();
-    for m in design.modules() {
-        for inst in &m.instances {
-            if let InstanceTarget::Cell(c) = inst.target {
-                set.insert(c);
-            }
-        }
-    }
-    set
-}
-
 /// Post-order DFS from the top: children before parents, only reachable
 /// modules.
-fn emission_order(design: &Design) -> Result<Vec<String>, NetlistError> {
-    let top = design.top()?.name.clone();
+fn emission_order(design: &Design) -> Result<Vec<&Module>, NetlistError> {
     let mut order = Vec::new();
     let mut visited = HashSet::new();
-    visit(design, &top, &mut visited, &mut order)?;
+    visit(design, design.top()?, &mut visited, &mut order)?;
     Ok(order)
 }
 
-fn visit(
-    design: &Design,
-    name: &str,
-    visited: &mut HashSet<String>,
-    order: &mut Vec<String>,
+fn visit<'d>(
+    design: &'d Design,
+    m: &'d Module,
+    visited: &mut HashSet<&'d str>,
+    order: &mut Vec<&'d Module>,
 ) -> Result<(), NetlistError> {
-    if !visited.insert(name.to_owned()) {
+    if !visited.insert(&m.name) {
         return Ok(());
     }
-    let m = design
-        .module(name)
-        .ok_or_else(|| NetlistError::UnknownModule(name.to_owned()))?;
     for inst in &m.instances {
         if let InstanceTarget::Module(child) = &inst.target {
+            let child = design
+                .module(child)
+                .ok_or_else(|| NetlistError::UnknownModule(child.clone()))?;
             visit(design, child, visited, order)?;
         }
     }
-    order.push(name.to_owned());
+    order.push(m);
     Ok(())
 }
 
-fn bus_decl(width: u32) -> String {
-    if width == 1 {
-        String::new()
-    } else {
-        format!("[{}:0] ", width - 1)
+/// Appends `name` with its bus range: `[w-1:0] name`, or `name` alone for
+/// a single bit.
+fn push_decl(out: &mut String, width: u32, name: &str) {
+    if width != 1 {
+        let _ = write!(out, "[{}:0] ", width - 1);
     }
+    out.push_str(name);
 }
 
 fn emit_module(out: &mut String, m: &Module) {
-    let port_list: Vec<String> = m.ports.iter().map(|p| p.name.clone()).collect();
-    let _ = writeln!(out, "module {}({});", m.name, port_list.join(", "));
+    out.push_str("module ");
+    out.push_str(&m.name);
+    out.push('(');
+    for (i, p) in m.ports.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&p.name);
+    }
+    out.push_str(");\n");
     for p in &m.ports {
-        let dir = match p.dir {
-            Dir::Input => "input",
-            Dir::Output => "output",
-        };
-        let _ = writeln!(out, "  {} {}{};", dir, bus_decl(p.width), p.name);
+        out.push_str(match p.dir {
+            Dir::Input => "  input ",
+            Dir::Output => "  output ",
+        });
+        push_decl(out, p.width, &p.name);
+        out.push_str(";\n");
     }
     for w in &m.wires {
-        let _ = writeln!(out, "  wire {}{};", bus_decl(w.width), w.name);
+        out.push_str("  wire ");
+        push_decl(out, w.width, &w.name);
+        out.push_str(";\n");
     }
     for (lhs, rhs) in &m.assigns {
-        let _ = writeln!(out, "  assign {} = {};", render(lhs), render(rhs));
+        out.push_str("  assign ");
+        render_into(out, lhs);
+        out.push_str(" = ");
+        render_into(out, rhs);
+        out.push_str(";\n");
     }
     for inst in &m.instances {
-        let conns: Vec<String> = inst
-            .connections
-            .iter()
-            .map(|(port, sig)| format!(".{}({})", port, render(sig)))
-            .collect();
-        let _ = writeln!(
-            out,
-            "  {} {} ({});",
-            inst.target.name(),
-            inst.name,
-            conns.join(", ")
-        );
+        out.push_str("  ");
+        out.push_str(inst.target.name());
+        out.push(' ');
+        out.push_str(&inst.name);
+        out.push_str(" (");
+        for (i, (port, sig)) in inst.connections.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push('.');
+            out.push_str(port);
+            out.push('(');
+            render_into(out, sig);
+            out.push(')');
+        }
+        out.push_str(");\n");
     }
-    let _ = writeln!(out, "endmodule\n");
+    out.push_str("endmodule\n\n");
 }
 
-/// Renders a signal expression as Verilog.
-fn render(signal: &Signal) -> String {
+/// Appends a signal expression, rendered as Verilog, to `out`.
+fn render_into(out: &mut String, signal: &Signal) {
     match signal {
-        Signal::Net(n) => n.clone(),
-        Signal::Bit(n, b) => format!("{n}[{b}]"),
-        Signal::Slice { net, msb, lsb } => format!("{net}[{msb}:{lsb}]"),
-        Signal::Const { width, value } => format!("{width}'d{value}"),
+        Signal::Net(n) => out.push_str(n),
+        Signal::Bit(n, b) => {
+            let _ = write!(out, "{n}[{b}]");
+        }
+        Signal::Slice { net, msb, lsb } => {
+            let _ = write!(out, "{net}[{msb}:{lsb}]");
+        }
+        Signal::Const { width, value } => {
+            let _ = write!(out, "{width}'d{value}");
+        }
         Signal::Concat(parts) => {
-            let inner: Vec<String> = parts.iter().map(render).collect();
-            format!("{{{}}}", inner.join(", "))
+            out.push('{');
+            for (i, part) in parts.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                render_into(out, part);
+            }
+            out.push('}');
         }
     }
 }
@@ -188,6 +214,12 @@ mod tests {
         assert_eq!(modules, ends);
     }
 
+    fn render(signal: &Signal) -> String {
+        let mut out = String::new();
+        render_into(&mut out, signal);
+        out
+    }
+
     #[test]
     fn render_forms() {
         assert_eq!(render(&Signal::net("x")), "x");
@@ -198,6 +230,7 @@ mod tests {
             render(&Signal::Concat(vec![Signal::net("a"), Signal::bit("b", 0)])),
             "{a, b[0]}"
         );
+        assert_eq!(render(&Signal::Concat(vec![])), "{}");
     }
 
     #[test]
@@ -207,9 +240,43 @@ mod tests {
     }
 
     #[test]
+    fn marked_design_that_changed_is_refused() {
+        let mut d = small_int();
+        let mut bad = Module::new("bad");
+        bad.add_instance("c0", "ghost", vec![]);
+        d.add_module(bad).unwrap();
+        assert_eq!(emit(&d), Err(NetlistError::UnknownModule("ghost".into())));
+    }
+
+    /// The same modules added to a fresh design by hand: no validated mark.
+    fn rebuilt(design: &Design) -> Design {
+        let mut fresh = Design::new();
+        for m in design.modules() {
+            fresh.add_module(m.clone()).unwrap();
+        }
+        fresh.set_top(design.top().unwrap().name.clone()).unwrap();
+        fresh
+    }
+
+    #[test]
     fn emission_is_deterministic() {
         let a = emit(&small_int()).unwrap();
         let b = emit(&small_int()).unwrap();
         assert_eq!(a, b);
+        for precision in sega_estimator::ALL_PRECISIONS {
+            let k = precision
+                .mantissa_bits()
+                .unwrap_or(precision.weight_bits())
+                .min(2);
+            let n = precision.mantissa_bits().unwrap_or(precision.weight_bits()) * 2;
+            let dp = DcimDesign::for_precision(precision, n, 8, 2, k).unwrap();
+            let generated = generate_macro(&dp).unwrap();
+            let first = emit(&generated).unwrap();
+            // Generated again, cloned, and re-validated from scratch: the
+            // same bytes every time.
+            assert_eq!(first, emit(&generate_macro(&dp).unwrap()).unwrap());
+            assert_eq!(first, emit(&generated.clone()).unwrap());
+            assert_eq!(first, emit(&rebuilt(&generated)).unwrap(), "{precision:?}");
+        }
     }
 }
