@@ -16,13 +16,20 @@
 //! tier, whose bill is `word_ops` (64-lane mask words) rather than
 //! scalar comparisons — the guard compares the *effective* counter
 //! `comparisons + word_ops` against the pairwise bill.
+//!
+//! The `first_front_n{200,1024,1776}_m4` arms time the first-front
+//! kernel (`pareto_front_indices_matrix`) next to a full-sort arm on the
+//! same cloud; the setup phase asserts both return the same front.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sega_bench::json::{moga_json_path, MogaKernelRecord, MogaKernelReport};
 use sega_moga::matrix::ObjectiveMatrix;
-use sega_moga::pareto::{non_dominated_sort_matrix_into, non_dominated_sort_naive, SortScratch};
+use sega_moga::pareto::{
+    non_dominated_sort_matrix_into, non_dominated_sort_naive, pareto_front_indices_matrix,
+    SortScratch,
+};
 
 /// The shared deterministic cloud generator — one implementation
 /// (`ObjectiveMatrix::xorshift_cloud`) serves this bench and the
@@ -114,10 +121,7 @@ fn bench_moga_kernel(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("moga_kernel");
     group.sample_size(10);
-    for (n, m) in [(1024usize, 2usize), (1024, 3), (1024, 4)] {
-        // M=4 is the DCIM shape: it exercises the blocked branchless
-        // fallback, so the timing trio shows all three tiers side by
-        // side.
+    for (n, m) in [(1024usize, 2usize), (1024, 3)] {
         let matrix = cloud(n, m, 7);
         let mut scratch = SortScratch::default();
         let mut fronts = Vec::new();
@@ -126,6 +130,30 @@ fn bench_moga_kernel(c: &mut Criterion) {
                 non_dominated_sort_matrix_into(&matrix, &mut scratch, &mut fronts);
                 fronts.len()
             })
+        });
+    }
+    // M=4 is the DCIM shape: the full sort runs the blocked branchless
+    // fallback, and the first-front kernel that replaces it for
+    // Pareto-front-only callers runs beside it on the same cloud. 1776
+    // rows is the largest Fig. 7 x Fig. 8 exhaustive design space.
+    for n in [200usize, 1024, 1776] {
+        let matrix = cloud(n, 4, 7);
+        let mut scratch = SortScratch::default();
+        let mut fronts = Vec::new();
+        non_dominated_sort_matrix_into(&matrix, &mut scratch, &mut fronts);
+        assert_eq!(
+            pareto_front_indices_matrix(&matrix),
+            fronts[0],
+            "N={n} M=4: first-front kernel diverged from the full sort"
+        );
+        group.bench_function(format!("sort_n{n}_m4"), |b| {
+            b.iter(|| {
+                non_dominated_sort_matrix_into(&matrix, &mut scratch, &mut fronts);
+                fronts.len()
+            })
+        });
+        group.bench_function(format!("first_front_n{n}_m4"), |b| {
+            b.iter(|| pareto_front_indices_matrix(&matrix).len())
         });
     }
     group.finish();

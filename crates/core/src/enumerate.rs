@@ -11,7 +11,7 @@
 
 use sega_cells::Technology;
 use sega_estimator::OperatingConditions;
-use sega_moga::pareto::pareto_front_indices_matrix;
+use sega_moga::pareto::{cmp_nan_last, pareto_front_indices_matrix};
 use sega_moga::ObjectiveMatrix;
 use sega_parallel::par_map;
 
@@ -97,15 +97,9 @@ pub fn exhaustive_front(
     for s in &all {
         objs.push_row(&s.objectives());
     }
-    let mut keep = pareto_front_indices_matrix(&objs);
-    keep.sort_unstable();
+    let keep = pareto_front_indices_matrix(&objs);
     let mut front: Vec<ParetoSolution> = keep.into_iter().map(|i| all[i].clone()).collect();
-    front.sort_by(|a, b| {
-        a.estimate
-            .area_mm2
-            .partial_cmp(&b.estimate.area_mm2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    front.sort_by(|a, b| cmp_nan_last(a.estimate.area_mm2, b.estimate.area_mm2));
     front
 }
 

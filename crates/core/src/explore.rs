@@ -30,6 +30,7 @@ use rand::Rng;
 
 use sega_cells::Technology;
 use sega_estimator::{DcimDesign, EstimatorStats, MacroEstimate, OperatingConditions};
+use sega_moga::pareto::cmp_nan_last;
 use sega_moga::{
     DominanceStats, DriverPhase, DriverState, Nsga2Config, Nsga2Driver, Nsga2Result,
     ObjectiveMatrix, Problem, SpeculationStats,
@@ -944,12 +945,7 @@ fn conclude(
             solution.estimate.area_mm2.is_finite().then_some(solution)
         })
         .collect();
-    solutions.sort_by(|a, b| {
-        a.estimate
-            .area_mm2
-            .partial_cmp(&b.estimate.area_mm2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    solutions.sort_by(|a, b| cmp_nan_last(a.estimate.area_mm2, b.estimate.area_mm2));
     solutions.dedup_by(|a, b| a.design == b.design);
     ExplorationResult {
         spec: *spec,

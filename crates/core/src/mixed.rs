@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use sega_cells::Technology;
 use sega_estimator::{OperatingConditions, Precision};
-use sega_moga::pareto::pareto_front_indices_matrix;
+use sega_moga::pareto::{cmp_nan_last, pareto_front_indices_matrix};
 use sega_moga::{DominanceStats, Nsga2Config, ObjectiveMatrix};
 use sega_parallel::{resolve_threads, Pool};
 
@@ -167,15 +167,9 @@ pub fn explore_mixed_with(
     for s in &candidates {
         objs.push_row(&s.objectives());
     }
-    let mut keep = pareto_front_indices_matrix(&objs);
-    keep.sort_unstable();
+    let keep = pareto_front_indices_matrix(&objs);
     let mut front: Vec<ParetoSolution> = keep.into_iter().map(|i| candidates[i].clone()).collect();
-    front.sort_by(|a, b| {
-        a.estimate
-            .area_mm2
-            .partial_cmp(&b.estimate.area_mm2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    front.sort_by(|a, b| cmp_nan_last(a.estimate.area_mm2, b.estimate.area_mm2));
     Ok(MixedExploration {
         front,
         per_precision,

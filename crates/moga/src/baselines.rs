@@ -14,7 +14,7 @@
 //! * [`exhaustive_front`] — ground truth on small enumerable spaces.
 
 use crate::matrix::ObjectiveMatrix;
-use crate::pareto::pareto_front_indices_matrix;
+use crate::pareto::{lex_cmp_nan_last, pareto_front_indices_matrix};
 use crate::Problem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -165,8 +165,7 @@ fn front_of<G>(mut samples: Vec<(G, Vec<f64>)>) -> Vec<(G, Vec<f64>)> {
     for (_, o) in &samples {
         objs.push_row(o);
     }
-    let mut keep = pareto_front_indices_matrix(&objs);
-    keep.sort_unstable();
+    let keep = pareto_front_indices_matrix(&objs);
     let mut keep_iter = keep.into_iter().peekable();
     let mut idx = 0usize;
     samples.retain(|_| {
@@ -178,7 +177,7 @@ fn front_of<G>(mut samples: Vec<(G, Vec<f64>)>) -> Vec<(G, Vec<f64>)> {
         retain
     });
     // Deduplicate identical objective vectors for stable comparisons.
-    samples.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    samples.sort_by(|a, b| lex_cmp_nan_last(&a.1, &b.1));
     samples.dedup_by(|a, b| a.1 == b.1);
     samples
 }

@@ -2,8 +2,8 @@ use std::collections::HashMap;
 
 use crate::matrix::ObjectiveMatrix;
 use crate::pareto::{
-    crowding_distances_matrix_into, non_dominated_sort_matrix_into, CrowdingScratch,
-    DominanceStats, SortScratch,
+    cmp_nan_last, crowding_distances_matrix_into, lex_cmp_nan_last, non_dominated_sort_matrix_into,
+    CrowdingScratch, DominanceStats, SortScratch,
 };
 use crate::Problem;
 use rand::rngs::StdRng;
@@ -920,9 +920,7 @@ fn select_survivors<G>(pop: &mut Pop<G>, target: usize, scratch: &mut EvolutionS
             scratch
                 .by_crowding
                 .extend(front.iter().copied().zip(scratch.dist.iter().copied()));
-            scratch
-                .by_crowding
-                .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+            scratch.by_crowding.sort_by(|a, b| cmp_nan_last(b.1, a.1));
             scratch.by_crowding.truncate(target - scratch.plan.len());
             // …then recompute crowding among the kept subset, matching
             // what a full re-rank of the survivor set would produce.
@@ -979,11 +977,7 @@ fn extract_front<G: Clone>(pop: &Pop<G>) -> Vec<Individual<G>> {
             crowding: pop.crowding[i],
         })
         .collect();
-    front.sort_by(|a, b| {
-        a.objectives
-            .partial_cmp(&b.objectives)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    front.sort_by(|a, b| lex_cmp_nan_last(&a.objectives, &b.objectives));
     front.dedup_by(|a, b| a.objectives == b.objectives);
     front
 }

@@ -16,6 +16,13 @@
 //! | **Presort + sweep** | `M = 2`, all rows finite-or-∞ (no NaN) | `O(N log N)` |
 //! | **Sweep + Pareto staircases** (Jensen/Fortin-style) | `M = 3`, no NaN | `O(N log N · log F)` |
 //! | **Bitset-row fallback** | `M ∉ {2, 3}` or any NaN entry | `O(M · N²)`, flat row-major bitsets |
+//! | **First front only** (presort + archive filter) | [`pareto_front_indices_matrix`], any `M`, no NaN | `O(N log N)` presort + `O(N · F)` archive checks (`F` = front size) |
+//!
+//! The first-front row serves callers that want the Pareto front alone
+//! (the exhaustive design-space fronts, the cross-precision merge): it
+//! returns the members in ascending index order, and an input with a NaN
+//! entry takes the fallback tier's first front instead (also ascending).
+//! GA selection needs every front and always runs the full sort.
 //!
 //! All tiers return *exactly* the fronts of the textbook Deb et al.
 //! `O(M·N²)` pass (retained as [`non_dominated_sort_naive`], the test
@@ -36,6 +43,7 @@
 use crate::matrix::ObjectiveMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 
 /// Returns true when `a` Pareto-dominates `b` in a minimization context
 /// (paper Eq. 1): `a` is no worse in every objective and strictly better in
@@ -263,22 +271,45 @@ impl SortScratch {
         self.order.clear();
         self.order.extend(0..n);
         self.order
-            .sort_unstable_by(|&a, &b| lex_cmp(points.row(a), points.row(b)));
+            .sort_unstable_by(|&a, &b| lex_cmp_nan_last(points.row(a), points.row(b)));
         self.assigned.clear();
         self.assigned.resize(n, usize::MAX);
     }
 }
 
-/// Total lexicographic order over NaN-free rows.
+/// The workspace's one sort comparator for objective values: a total
+/// order that puts every `NaN` after every number (and level with other
+/// `NaN`s), and agrees with `partial_cmp` on every other pair, so
+/// `-0.0 == 0.0` and every NaN-free sort keeps its exact order.
+///
+/// `partial_cmp(..).unwrap_or(Equal)` is not a total order once a `NaN`
+/// is present (`NaN` would equal both `0` and `1`), and the standard
+/// library's sorts may panic on such a comparator.
+///
+/// ```
+/// use sega_moga::pareto::cmp_nan_last;
+/// use std::cmp::Ordering;
+/// assert_eq!(cmp_nan_last(1.0, 2.0), Ordering::Less);
+/// assert_eq!(cmp_nan_last(-0.0, 0.0), Ordering::Equal);
+/// assert_eq!(cmp_nan_last(f64::NAN, f64::INFINITY), Ordering::Greater);
+/// assert_eq!(cmp_nan_last(f64::NAN, f64::NAN), Ordering::Equal);
+/// ```
 #[inline]
-fn lex_cmp(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
-    for (x, y) in a.iter().zip(b) {
-        match x.partial_cmp(y).expect("fast tiers exclude NaN") {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
+pub fn cmp_nan_last(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// [`cmp_nan_last`] lifted to objective vectors: lexicographic, with a
+/// shorter vector before its extensions. On NaN-free vectors this is
+/// exactly `<[f64]>::partial_cmp`.
+#[inline]
+pub fn lex_cmp_nan_last(a: &[f64], b: &[f64]) -> Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| cmp_nan_last(x, y))
+        .find(|o| o.is_ne())
+        .unwrap_or_else(|| a.len().cmp(&b.len()))
 }
 
 /// [`non_dominated_sort_slices`] writing into caller-owned buffers:
@@ -719,22 +750,80 @@ pub fn non_dominated_sort_naive(points: &[&[f64]]) -> Vec<Vec<usize>> {
     fronts
 }
 
-/// Indices of the Pareto-optimal points (the first front).
+/// Indices of the Pareto-optimal points (the first front), in
+/// **ascending** index order — the same members as the first front of
+/// [`non_dominated_sort`], duplicates of a front row included.
 pub fn pareto_front_indices(points: &[Vec<f64>]) -> Vec<usize> {
     pareto_front_indices_matrix(&ObjectiveMatrix::from_rows(points))
 }
 
-/// [`pareto_front_indices`] over borrowed objective slices.
+/// [`pareto_front_indices`] over borrowed objective slices (ascending
+/// indices).
 pub fn pareto_front_indices_slices(points: &[&[f64]]) -> Vec<usize> {
     pareto_front_indices_matrix(&ObjectiveMatrix::from_slices(points))
 }
 
-/// [`pareto_front_indices`] over a flat [`ObjectiveMatrix`].
+/// [`pareto_front_indices`] over a flat [`ObjectiveMatrix`] (ascending
+/// indices).
+///
+/// NaN-free inputs of any width take the first-front kernel (presort +
+/// archive filter, see the module docs); inputs with a `NaN` entry return the
+/// fallback tier's first front, `non_dominated_sort_matrix(points)[0]`,
+/// which is already ascending.
 pub fn pareto_front_indices_matrix(points: &ObjectiveMatrix) -> Vec<usize> {
-    non_dominated_sort_matrix(points)
-        .into_iter()
-        .next()
-        .unwrap_or_default()
+    if points.as_flat().iter().any(|x| x.is_nan()) {
+        return non_dominated_sort_matrix(points)
+            .into_iter()
+            .next()
+            .unwrap_or_default();
+    }
+    first_front_sorted(points)
+}
+
+/// The first front alone, for NaN-free rows of any width: a
+/// sort-filter pass (the idea of sort-filter-skyline and of Zhang et
+/// al.'s efficient non-dominated sort, TEVC 2015).
+///
+/// Rows are visited in lexicographic order, index as the tiebreak. A
+/// dominator is componentwise `≤` and different, hence lexicographically
+/// smaller, so only earlier rows can dominate a row. Equal rows are
+/// adjacent; a repeat takes its predecessor's verdict. Any other row
+/// joins the front unless an *archived* (accepted) row is `≤` it in
+/// every component: if some earlier row dominates it, that row is
+/// either archived or itself dominated by an earlier row, and following
+/// the chain ends at an archived row that dominates it too. Each row is
+/// checked against the accepted front rows only — `O(N log N + N·F·M)`
+/// instead of the full sort's `O(M·N²)` and front peel.
+fn first_front_sorted(points: &ObjectiveMatrix) -> Vec<usize> {
+    let width = points.width();
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    order.sort_unstable_by(|&a, &b| lex_cmp_nan_last(points.row(a), points.row(b)).then(a.cmp(&b)));
+    // Distinct accepted rows, flat row-major.
+    let mut archive: Vec<f64> = Vec::new();
+    let mut front = Vec::new();
+    let mut prev: Option<(&[f64], bool)> = None;
+    for i in order {
+        let row = points.row(i);
+        let accepted = match prev {
+            Some((p, verdict)) if p == row => verdict,
+            _ => {
+                // Zero-width rows never dominate: the archive stays empty.
+                let free = !archive
+                    .chunks_exact(width.max(1))
+                    .any(|a| a.iter().zip(row).all(|(x, y)| x <= y));
+                if free {
+                    archive.extend_from_slice(row);
+                }
+                free
+            }
+        };
+        if accepted {
+            front.push(i);
+        }
+        prev = Some((row, accepted));
+    }
+    front.sort_unstable();
+    front
 }
 
 /// Crowding distance of each member of `front` (indices into `points`),
@@ -823,11 +912,7 @@ fn crowding_into(
     scratch.order.extend(0..n);
     let order = &mut scratch.order;
     for obj in 0..m {
-        order.sort_by(|&a, &b| {
-            objective(front[a], obj)
-                .partial_cmp(&objective(front[b], obj))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by(|&a, &b| cmp_nan_last(objective(front[a], obj), objective(front[b], obj)));
         let lo = objective(front[order[0]], obj);
         let hi = objective(front[order[n - 1]], obj);
         dist[order[0]] = f64::INFINITY;
@@ -879,7 +964,7 @@ pub fn hypervolume_sorted(points: &[Vec<f64>], reference: &[f64], order: &mut Ve
         // One lexicographic sort, then a single sweep: a point contributes
         // exactly when it improves the running best y — i.e. it is on the
         // front — so no separate front extraction is needed.
-        order.sort_unstable_by(|&a, &b| lex_cmp(&points[a], &points[b]));
+        order.sort_unstable_by(|&a, &b| lex_cmp_nan_last(&points[a], &points[b]));
         let mut hv = 0.0;
         let mut prev_y = reference[1];
         for &i in order.iter() {
@@ -1160,6 +1245,89 @@ mod tests {
         let pts = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
         let d = crowding_distances(&pts, &[0, 1]);
         assert!(d.iter().all(|x| x.is_infinite()));
+    }
+
+    #[test]
+    fn crowding_tolerates_nan_objectives() {
+        // A 24-member front of a 4-objective cloud with NaN entries: the
+        // per-objective index sort must see a total order (a
+        // `partial_cmp(..).unwrap_or(Equal)` comparator makes the
+        // standard library's sort panic on this input).
+        let mut pts = ObjectiveMatrix::xorshift_cloud(24, 4, None, 0).to_rows();
+        for (i, p) in pts.iter_mut().enumerate() {
+            for (j, v) in p.iter_mut().enumerate() {
+                if (i * 31 + j * 7) % 3 == 0 {
+                    *v = f64::NAN;
+                }
+            }
+        }
+        let front: Vec<usize> = (0..pts.len()).collect();
+        let d = crowding_distances(&pts, &front);
+        assert_eq!(d.len(), front.len());
+        assert!(d.iter().all(|x| !x.is_nan()), "{d:?}");
+        assert!(d.iter().any(|x| x.is_infinite()), "{d:?}");
+    }
+
+    #[test]
+    fn nan_last_comparators_are_total_and_match_partial_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            2.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for &a in &values {
+            for &b in &values {
+                let ord = cmp_nan_last(a, b);
+                assert_eq!(ord, cmp_nan_last(b, a).reverse(), "{a} vs {b}");
+                match a.partial_cmp(&b) {
+                    Some(expected) => assert_eq!(ord, expected, "{a} vs {b}"),
+                    None => assert_eq!(ord, a.is_nan().cmp(&b.is_nan()), "{a} vs {b}"),
+                }
+            }
+        }
+        let rows: [&[f64]; 5] = [
+            &[0.0, 1.0],
+            &[-0.0, 1.0],
+            &[0.0],
+            &[0.0, f64::NAN],
+            &[1.0, 0.0],
+        ];
+        for a in rows {
+            for b in rows {
+                if let Some(expected) = a.partial_cmp(b) {
+                    assert_eq!(lex_cmp_nan_last(a, b), expected, "{a:?} vs {b:?}");
+                }
+            }
+        }
+        assert_eq!(
+            lex_cmp_nan_last(&[0.0, f64::NAN], &[0.0, 1.0]),
+            Ordering::Greater
+        );
+    }
+
+    #[test]
+    fn first_front_kernel_matches_the_full_sort() {
+        let edge: Vec<Vec<f64>> = vec![
+            vec![1.0, 2.0, 3.0, 4.0],
+            vec![1.0, 2.0, 3.0, 4.0],
+            vec![-0.0, 2.0, 3.0, 4.0],
+            vec![0.0, 2.0, 3.0, 5.0],
+            vec![f64::NEG_INFINITY, 9.0, 9.0, 9.0],
+            vec![5.0, f64::INFINITY, 0.0, 0.0],
+            vec![5.0, 1.0, 0.0, 0.0],
+        ];
+        let mut first = non_dominated_sort(&edge).swap_remove(0);
+        first.sort_unstable();
+        assert_eq!(pareto_front_indices(&edge), first);
+        assert_eq!(pareto_front_indices(&edge), vec![2, 4, 6]);
+        // Zero-width rows never dominate one another.
+        assert_eq!(pareto_front_indices(&[vec![], vec![]]), vec![0, 1]);
+        assert!(pareto_front_indices(&[]).is_empty());
     }
 
     #[test]
