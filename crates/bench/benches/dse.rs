@@ -3,11 +3,14 @@
 //! and computing precision can be finished in 30 minutes" claim. Our
 //! closed-form estimator brings the same population×generation budget down
 //! to well under a second per specification.
+//!
+//! `exhaustive_grid_48` times the ground truth the explorer is measured
+//! against: `exhaustive_front` over all 48 Fig. 7 × Fig. 8 design spaces.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use sega_bench::quick_nsga_config;
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use sega_bench::{quick_nsga_config, FIG7_PRECISIONS, FIG8_WSTORE};
 use sega_cells::Technology;
-use sega_dcim::{explore_pareto, UserSpec};
+use sega_dcim::{exhaustive_front, explore_pareto, UserSpec};
 use sega_estimator::{OperatingConditions, Precision};
 
 fn bench_dse(c: &mut Criterion) {
@@ -30,6 +33,22 @@ fn bench_dse(c: &mut Criterion) {
             })
         });
     }
+
+    let grid: Vec<UserSpec> = FIG7_PRECISIONS
+        .iter()
+        .flat_map(|&prec| {
+            FIG8_WSTORE
+                .iter()
+                .map(move |&w| UserSpec::new(w, prec).unwrap())
+        })
+        .collect();
+    group.bench_function("exhaustive_grid_48", |b| {
+        b.iter(|| {
+            for spec in &grid {
+                black_box(exhaustive_front(black_box(spec), &tech, &cond));
+            }
+        })
+    });
     group.finish();
 }
 

@@ -10,29 +10,26 @@
 //! * the data behind Fig. 7's full design-space clouds.
 
 use sega_cells::Technology;
-use sega_estimator::OperatingConditions;
+use sega_estimator::{
+    CohortScratch, DcimDesign, EstimationContext, MacroEstimate, OperatingConditions,
+};
 use sega_moga::pareto::{cmp_nan_last, pareto_front_indices_matrix};
 use sega_moga::ObjectiveMatrix;
-use sega_parallel::par_map;
 
-use crate::explore::{DcimProblem, Geometry, ParetoSolution, PipelineOptions};
+use crate::backend::GeometryLens;
+use crate::explore::{Geometry, ParetoSolution};
 use crate::spec::UserSpec;
 
 /// Every legal geometry of the specification's design space, within the
 /// paper's exploration bounds.
 pub fn enumerate_geometries(spec: &UserSpec) -> Vec<Geometry> {
-    let limits = &spec.limits;
-    let max_log_l = limits.max_l.trailing_zeros();
-    let min_log_h = limits.min_h.next_power_of_two().trailing_zeros();
-    let max_log_h = limits.max_h.trailing_zeros();
-    let log_wstore = spec.wstore.trailing_zeros();
-    let max_sum = log_wstore.saturating_sub(limits.n_factor.next_power_of_two().trailing_zeros());
+    let bounds = spec.genome_bounds();
     let serial_bits = spec.precision.input_bits();
 
     let mut out = Vec::new();
-    for log_h in min_log_h..=max_log_h {
-        for log_l in 0..=max_log_l {
-            if log_h + log_l > max_sum {
+    for log_h in bounds.min_log_h..=bounds.max_log_h {
+        for log_l in 0..=bounds.max_log_l {
+            if log_h + log_l > bounds.max_log_sum {
                 continue;
             }
             for k in 1..=serial_bits {
@@ -43,62 +40,76 @@ pub fn enumerate_geometries(spec: &UserSpec) -> Vec<Geometry> {
     out
 }
 
+/// The design point of every feasible geometry, in enumeration order.
+fn enumerate_designs(spec: &UserSpec) -> Vec<DcimDesign> {
+    let lens = GeometryLens::new(spec);
+    enumerate_geometries(spec)
+        .iter()
+        .filter_map(|g| lens.design_of(g))
+        .collect()
+}
+
 /// Evaluates the complete design space and returns every point
-/// (design + estimate), unfiltered — Fig. 7's cloud.
-///
-/// Estimates run data-parallel over all hardware threads (the order of
-/// the returned points is the enumeration order regardless).
+/// (design + estimate) in enumeration order, unfiltered — Fig. 7's
+/// cloud. One serial pass: the technology is voltage-realized once for
+/// the whole cloud, not once per point.
 pub fn enumerate_design_space(
     spec: &UserSpec,
     tech: &Technology,
     conditions: &OperatingConditions,
 ) -> Vec<ParetoSolution> {
-    enumerate_design_space_with(spec, tech, conditions, 0)
-}
-
-/// [`enumerate_design_space`] with an explicit thread count (`0` = all
-/// hardware threads, `1` = serial). Every point materializes through the
-/// pipeline's bound [`crate::backend::EvalBackend`] (the macro model by
-/// default, with its technology voltage-realized once for the whole
-/// cloud, not once per point).
-pub fn enumerate_design_space_with(
-    spec: &UserSpec,
-    tech: &Technology,
-    conditions: &OperatingConditions,
-    threads: usize,
-) -> Vec<ParetoSolution> {
-    // The problem is only used for its bound evaluator here, so bind it
-    // to the serial pool rather than the hardware-width one (the
-    // data-parallel fan-out below runs through `par_map` directly).
-    let problem = DcimProblem::with_options(
-        *spec,
-        tech.clone(),
-        *conditions,
-        PipelineOptions::with_threads(1),
-    );
-    let geometries = enumerate_geometries(spec);
-    par_map(&geometries, threads, |g| problem.materialize(g))
+    let ctx = EstimationContext::new(tech, conditions);
+    enumerate_designs(spec)
         .into_iter()
-        .flatten()
+        .map(|design| ParetoSolution {
+            estimate: ctx.estimate(&design),
+            design,
+        })
         .collect()
 }
 
 /// The exact Pareto frontier of the full design space — ground truth for
-/// the MOGA explorer.
+/// the MOGA explorer — sorted stably by area.
+///
+/// One serial pass: the whole space is scored in a single SoA cohort
+/// (rows bit-identical to the per-design estimate), and only the front
+/// members get a full [`MacroEstimate`].
 pub fn exhaustive_front(
     spec: &UserSpec,
     tech: &Technology,
     conditions: &OperatingConditions,
 ) -> Vec<ParetoSolution> {
-    let all = enumerate_design_space(spec, tech, conditions);
-    // One flat matrix for the whole cloud — the dominance kernel's
-    // canonical input, no per-point objective clones.
-    let mut objs = ObjectiveMatrix::with_capacity(4, all.len());
-    for s in &all {
-        objs.push_row(&s.objectives());
+    let ctx = EstimationContext::new(tech, conditions);
+    front_of(
+        &enumerate_designs(spec),
+        &ctx,
+        &mut CohortScratch::default(),
+        |design| ctx.estimate(design),
+    )
+}
+
+/// Scores `designs` in one `estimate_cohort` call through `scratch`,
+/// keeps the first front, and builds the full estimate of each kept
+/// design with `estimate`.
+fn front_of(
+    designs: &[DcimDesign],
+    ctx: &EstimationContext,
+    scratch: &mut CohortScratch,
+    estimate: impl Fn(&DcimDesign) -> MacroEstimate,
+) -> Vec<ParetoSolution> {
+    let mut rows = Vec::new();
+    ctx.estimate_cohort(designs, &mut rows, scratch);
+    let mut objs = ObjectiveMatrix::with_capacity(4, rows.len());
+    for row in &rows {
+        objs.push_row(row);
     }
-    let keep = pareto_front_indices_matrix(&objs);
-    let mut front: Vec<ParetoSolution> = keep.into_iter().map(|i| all[i].clone()).collect();
+    let mut front: Vec<ParetoSolution> = pareto_front_indices_matrix(&objs)
+        .into_iter()
+        .map(|i| ParetoSolution {
+            design: designs[i],
+            estimate: estimate(&designs[i]),
+        })
+        .collect();
     front.sort_by(|a, b| cmp_nan_last(a.estimate.area_mm2, b.estimate.area_mm2));
     front
 }
@@ -146,6 +157,32 @@ mod tests {
             s.design.validate().unwrap();
             assert_eq!(s.design.wstore(), 4096);
             assert!(s.estimate.area_mm2.is_finite());
+        }
+    }
+
+    #[test]
+    fn exhaustive_front_scores_once_and_materializes_only_the_front() {
+        let (tech, cond) = setup();
+        let ctx = EstimationContext::new(&tech, &cond);
+        for (wstore, precision) in [(4096, Precision::Int8), (65536, Precision::Fp32)] {
+            let spec = UserSpec::new(wstore, precision).unwrap();
+            let designs = enumerate_designs(&spec);
+            assert_eq!(designs.len(), enumerate_geometries(&spec).len());
+            let mut scratch = CohortScratch::default();
+            let full = std::cell::Cell::new(0usize);
+            let front = front_of(&designs, &ctx, &mut scratch, |d| {
+                full.set(full.get() + 1);
+                ctx.estimate(d)
+            });
+            assert_eq!(scratch.stats().designs, designs.len() as u64, "{spec}");
+            assert_eq!(full.get(), front.len(), "{spec}");
+            assert!(front.len() < designs.len());
+            let reference: Vec<_> = exhaustive_front(&spec, &tech, &cond)
+                .into_iter()
+                .map(|s| s.design)
+                .collect();
+            let got: Vec<_> = front.iter().map(|s| s.design).collect();
+            assert_eq!(got, reference, "{spec}");
         }
     }
 

@@ -39,7 +39,7 @@ use sega_parallel::{resolve_threads, Pool};
 
 use crate::backend::{default_backend, CohortEvaluator, EvalBackend, EvalTicket, GeometryLens};
 use crate::cache::{CacheKey, EvalStats, FxHashMap, KeySpace, SharedEvalCache};
-use crate::spec::UserSpec;
+use crate::spec::{GenomeBounds, UserSpec};
 
 /// How [`DcimProblem`] schedules and memoizes objective evaluations.
 #[derive(Debug, Clone)]
@@ -294,17 +294,6 @@ impl ExplorationResult {
     }
 }
 
-/// The genome box derived from the specification's `ExplorerLimits`: the
-/// bounds every genetic operator works within, precomputed once per
-/// problem so mutation never proposes a point repair must immediately
-/// undo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GenomeBounds {
-    min_log_h: u32,
-    max_log_h: u32,
-    max_log_l: u32,
-}
-
 /// The multi-objective problem NSGA-II evolves for one `(Wstore,
 /// precision)` specification.
 #[derive(Debug, Clone)]
@@ -319,7 +308,9 @@ pub struct DcimProblem {
     evaluator: Arc<dyn CohortEvaluator>,
     /// Serial input width (`Bx` or `BM`): the upper bound of `k`.
     serial_bits: u32,
-    /// Genome bounds derived from `spec.limits`.
+    /// The genome box every genetic operator works within, derived from
+    /// `spec.limits` once per problem so mutation never proposes a point
+    /// repair must immediately undo.
     bounds: GenomeBounds,
     /// Scheduling/memoization knobs for batch evaluation.
     pipeline: PipelineOptions,
@@ -405,7 +396,6 @@ impl DcimProblem {
         pipeline: PipelineOptions,
     ) -> Self {
         debug_assert!(spec.wstore.is_power_of_two(), "validated by UserSpec");
-        let limits = &spec.limits;
         let pool = resolve_pool(&pipeline);
         let cache = resolve_cache(&pipeline);
         let space = cache.space(&CacheKey::new(
@@ -422,11 +412,7 @@ impl DcimProblem {
             tech,
             conditions,
             serial_bits: spec.precision.input_bits(),
-            bounds: GenomeBounds {
-                min_log_h: limits.min_h.next_power_of_two().trailing_zeros(),
-                max_log_h: limits.max_h.trailing_zeros(),
-                max_log_l: limits.max_l.trailing_zeros(),
-            },
+            bounds: spec.genome_bounds(),
             pipeline,
             pool,
             cache,
@@ -605,15 +591,6 @@ impl DcimProblem {
     pub fn design_of(&self, g: &Geometry) -> Option<DcimDesign> {
         self.lens.design_of(g)
     }
-
-    /// The paper's exploration bounds as genome bounds:
-    /// `log_l ≤ log2(max_l)`, `min_h ≤ H ≤ max_h`, and
-    /// `log_h + log_l ≤ log2(Wstore / n_factor)` so that
-    /// `N ≥ n_factor·Bw`.
-    fn max_log_sum(&self) -> u32 {
-        let f = self.spec.limits.n_factor.next_power_of_two();
-        self.lens.log_wstore().saturating_sub(f.trailing_zeros())
-    }
 }
 
 impl Problem for DcimProblem {
@@ -765,7 +742,7 @@ impl Problem for DcimProblem {
         genome.log_h = genome.log_h.clamp(b.min_log_h, b.max_log_h);
         genome.k = genome.k.clamp(1, self.serial_bits);
         // Keep N >= n_factor * Bw: shrink L first (cheapest), then H.
-        let max_sum = self.max_log_sum();
+        let max_sum = b.max_log_sum;
         if genome.log_h + genome.log_l > max_sum {
             genome.log_l = genome.log_l.min(max_sum.saturating_sub(genome.log_h));
         }

@@ -92,7 +92,7 @@ pub use cache::{CacheKey, EvalStats, SharedEvalCache};
 pub use checkpoint::CheckpointConfig;
 pub use compiler::{CompileError, CompiledMacro, Compiler};
 pub use distill::DistillStrategy;
-pub use enumerate::{enumerate_design_space, enumerate_design_space_with, exhaustive_front};
+pub use enumerate::{enumerate_design_space, exhaustive_front};
 pub use explore::{
     explore_pareto, explore_pareto_resumable, explore_pareto_with, ExplorationResult,
     ExploreResume, ParetoSolution, PipelineOptions,

@@ -13,6 +13,9 @@ pub enum SpecError {
         /// Minimum supported for this precision.
         minimum: u64,
     },
+    /// The exploration bounds admit no geometry: a bound is zero, or no
+    /// power-of-two `H` lies in `[min_h, max_h]`.
+    InvalidLimits(ExplorerLimits),
 }
 
 impl std::fmt::Display for SpecError {
@@ -27,6 +30,13 @@ impl std::fmt::Display for SpecError {
                     "Wstore {wstore} below the minimum {minimum} for this precision"
                 )
             }
+            SpecError::InvalidLimits(l) => write!(
+                f,
+                "exploration limits admit no geometry (max_l {}, max_h {}, min_h {}, \
+                 n_factor {}): every bound must be non-zero and a power of two must lie \
+                 in [min_h, max_h]",
+                l.max_l, l.max_h, l.min_h, l.n_factor
+            ),
         }
     }
 }
@@ -48,6 +58,39 @@ pub struct ExplorerLimits {
     /// Minimum column count as a multiple of the weight width
     /// (`N ≥ n_factor·Bw`).
     pub n_factor: u32,
+}
+
+impl ExplorerLimits {
+    /// Whether every bound is non-zero and some power-of-two `H` lies in
+    /// `[min_h, max_h]`.
+    fn admits_a_geometry(&self) -> bool {
+        [self.max_l, self.max_h, self.min_h, self.n_factor]
+            .iter()
+            .all(|&b| b > 0)
+            && ceil_log2(self.min_h) <= self.max_h.ilog2()
+    }
+}
+
+/// `⌈log2 x⌉`: the exponent of the smallest power of two `≥ x`.
+fn ceil_log2(x: u32) -> u32 {
+    x.checked_next_power_of_two()
+        .map_or(u32::BITS, u32::trailing_zeros)
+}
+
+/// The power-of-two geometry box one specification admits, in `log2`
+/// terms — the single derivation the GA's genome bounds and the
+/// exhaustive enumerator share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GenomeBounds {
+    /// `log2` of the smallest power of two `≥ min_h`.
+    pub(crate) min_log_h: u32,
+    /// `log2` of the largest power of two `≤ max_h`.
+    pub(crate) max_log_h: u32,
+    /// `log2` of the largest power of two `≤ max_l`.
+    pub(crate) max_log_l: u32,
+    /// The largest `log_h + log_l` keeping `N ≥ n_factor·Bw`:
+    /// `log2(Wstore) − ⌈log2 n_factor⌉`.
+    pub(crate) max_log_sum: u32,
 }
 
 impl Default for ExplorerLimits {
@@ -90,7 +133,8 @@ impl UserSpec {
     ///
     /// # Errors
     ///
-    /// Same as [`UserSpec::new`].
+    /// Same as [`UserSpec::new`], plus [`SpecError::InvalidLimits`] when
+    /// a bound is zero or no power-of-two `H` lies in `[min_h, max_h]`.
     pub fn with_limits(
         wstore: u64,
         precision: Precision,
@@ -98,6 +142,9 @@ impl UserSpec {
     ) -> Result<Self, SpecError> {
         if !wstore.is_power_of_two() {
             return Err(SpecError::WstoreNotPowerOfTwo(wstore));
+        }
+        if !limits.admits_a_geometry() {
+            return Err(SpecError::InvalidLimits(limits));
         }
         let bw = precision.weight_bits() as u64;
         // Smallest macro: N = n_factor·Bw columns, H = min_h rows, L = 1.
@@ -120,6 +167,18 @@ impl UserSpec {
     /// The array capacity in bits: `Wstore · Bw`.
     pub fn capacity_bits(&self) -> u64 {
         self.wstore * self.weight_bits() as u64
+    }
+
+    /// The exploration bounds as a power-of-two geometry box. Bounds that
+    /// are not powers of two round inward (`max_h: 1000` admits `H ≤ 512`).
+    pub(crate) fn genome_bounds(&self) -> GenomeBounds {
+        let l = &self.limits;
+        GenomeBounds {
+            min_log_h: ceil_log2(l.min_h),
+            max_log_h: l.max_h.ilog2(),
+            max_log_l: l.max_l.ilog2(),
+            max_log_sum: self.wstore.ilog2().saturating_sub(ceil_log2(l.n_factor)),
+        }
     }
 }
 

@@ -808,9 +808,12 @@ fn first_front_sorted(points: &ObjectiveMatrix) -> Vec<usize> {
             Some((p, verdict)) if p == row => verdict,
             _ => {
                 // Zero-width rows never dominate: the archive stays empty.
+                // The per-row test folds without short-circuiting: a
+                // branch-free compare of all `width` components is faster
+                // than an early exit on these short rows.
                 let free = !archive
                     .chunks_exact(width.max(1))
-                    .any(|a| a.iter().zip(row).all(|(x, y)| x <= y));
+                    .any(|a| a.iter().zip(row).fold(true, |acc, (x, y)| acc & (x <= y)));
                 if free {
                     archive.extend_from_slice(row);
                 }
