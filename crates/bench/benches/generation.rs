@@ -5,7 +5,9 @@
 //!
 //! Besides the 8K Fig. 6 designs, the generate / validate / emit arms run
 //! at real `compile` sizes: the knee designs `compile` selects for INT8 at
-//! 128K and BF16 at 32K weights (2.0 MB and 0.6 MB of Verilog).
+//! 128K, BF16 at 32K and FP32 at 32K weights (2.0 MB, 0.6 MB and 6.2 MB
+//! of Verilog; the last is the largest compile-gen knee design, 49,152
+//! columns).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sega_bench::fig6_designs;
@@ -56,6 +58,10 @@ fn bench_generation(c: &mut Criterion) {
         (
             "bf16_32k",
             DcimDesign::for_precision(Precision::Bf16, 4096, 64, 1, 8).unwrap(),
+        ),
+        (
+            "fp32_32k",
+            DcimDesign::for_precision(Precision::Fp32, 49152, 16, 1, 24).unwrap(),
         ),
     ];
     for (label, design) in &knees {

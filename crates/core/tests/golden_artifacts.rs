@@ -11,6 +11,7 @@
 //! so a deliberate output change can be re-pinned in one paste.
 
 use sega_dcim::estimator::{DcimDesign, Precision, ALL_PRECISIONS};
+use sega_dcim::netlist::generators::generate_macro;
 use sega_dcim::Compiler;
 
 /// 64-bit FNV-1a: a fixed, dependency-free hash that does not change
@@ -143,6 +144,31 @@ fn artifacts_match_the_pinned_hashes() {
         eprintln!("actual table:\n{}", rows.join("\n"));
     }
     assert_eq!(mismatches, 0, "{mismatches} design points changed output");
+}
+
+/// The macro's columns and result-fusion groups are replicated IR entries:
+/// every pinned top module holds at most five entries (INT: buffer,
+/// columns, fusion; FP: pre-alignment, buffer, columns, fusion,
+/// converter) whatever its column count, so a regression to one instance
+/// per column fails here.
+#[test]
+fn top_modules_hold_a_constant_number_of_entries() {
+    for golden in GOLDEN {
+        let (n, h, l, k) = golden.geometry;
+        let design = DcimDesign::for_precision(golden.precision, n, h, l, k).unwrap();
+        let netlist = generate_macro(&design).unwrap();
+        let top = netlist.top().unwrap();
+        assert!(
+            top.instances.len() <= 5,
+            "{design}: {} entries in the top module",
+            top.instances.len()
+        );
+        let copies: u64 = top.instances.iter().map(|i| u64::from(i.count.get())).sum();
+        assert!(
+            copies > u64::from(n),
+            "{design}: {copies} copies for {n} columns"
+        );
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@ use super::datapath::{
 };
 use super::fp::{ensure_int_to_fp, ensure_pre_alignment};
 use super::GenResult;
-use crate::ir::{Design, Module, NetlistError, Signal};
+use crate::ir::{Design, InstanceTarget, Module, NetlistError, Signal};
 use sega_cells::{ceil_log2, StandardCell};
 use sega_estimator::{DcimDesign, FpParams, IntParams};
 
@@ -121,6 +121,24 @@ pub fn generate_macro(design_point: &DcimDesign) -> Result<Design, NetlistError>
     Ok(d)
 }
 
+/// The macro's `n` array columns as one replicated entry: column `c`
+/// drives its `qw`-bit lane of `colq`.
+fn add_columns(m: &mut Module, n: u32, col: String, qw: u32) {
+    m.add_replicated(
+        "col",
+        n,
+        InstanceTarget::Module(col),
+        vec![
+            ("xb", Signal::net("xb")),
+            ("wsel", Signal::net("wsel")),
+            ("clk", Signal::net("clk")),
+            ("wdata", Signal::net("wdata")),
+            ("wl", Signal::net("wl")),
+            ("q", Signal::lane("colq", qw)),
+        ],
+    );
+}
+
 fn generate_int_macro(d: &mut Design, p: &IntParams) -> GenResult {
     let IntParams { n, h, l, k, bw, bx } = *p;
     let name = format!("dcim_int_n{n}_h{h}_l{l}_k{k}_bw{bw}_bx{bx}");
@@ -149,7 +167,6 @@ fn generate_int_macro(d: &mut Design, p: &IntParams) -> GenResult {
     m.add_wire("xb", h * k)?;
     m.add_wire("colq", n * qw)?;
 
-    m.instances.reserve((1 + n + groups) as usize);
     m.add_instance(
         "ibuf0",
         &ibuf,
@@ -160,33 +177,16 @@ fn generate_int_macro(d: &mut Design, p: &IntParams) -> GenResult {
             ("q", Signal::net("xb")),
         ],
     );
-    for c in 0..n {
-        m.add_instance(
-            format!("col{c}"),
-            &col,
-            vec![
-                ("xb", Signal::net("xb")),
-                ("wsel", Signal::net("wsel")),
-                ("clk", Signal::net("clk")),
-                ("wdata", Signal::net("wdata")),
-                ("wl", Signal::net("wl")),
-                ("q", Signal::slice("colq", (c + 1) * qw - 1, c * qw)),
-            ],
-        );
-    }
-    for g in 0..groups {
-        m.add_instance(
-            format!("fuse{g}"),
-            &fuse,
-            vec![
-                (
-                    "d",
-                    Signal::slice("colq", (g + 1) * bw * qw - 1, g * bw * qw),
-                ),
-                ("y", Signal::slice("y", (g + 1) * wf - 1, g * wf)),
-            ],
-        );
-    }
+    add_columns(&mut m, n, col, qw);
+    m.add_replicated(
+        "fuse",
+        groups,
+        InstanceTarget::Module(fuse),
+        vec![
+            ("d", Signal::lane("colq", bw * qw)),
+            ("y", Signal::lane("y", wf)),
+        ],
+    );
     d.add_module(m)?;
     Ok(name)
 }
@@ -227,7 +227,6 @@ fn generate_fp_macro(d: &mut Design, p: &FpParams) -> GenResult {
     m.add_wire("colq", n * qw)?;
     m.add_wire("fused", groups * br)?;
 
-    m.instances.reserve((2 + n + 2 * groups) as usize);
     m.add_instance(
         "palign0",
         &palign,
@@ -248,46 +247,29 @@ fn generate_fp_macro(d: &mut Design, p: &FpParams) -> GenResult {
             ("q", Signal::net("xb")),
         ],
     );
-    for c in 0..n {
-        m.add_instance(
-            format!("col{c}"),
-            &col,
-            vec![
-                ("xb", Signal::net("xb")),
-                ("wsel", Signal::net("wsel")),
-                ("clk", Signal::net("clk")),
-                ("wdata", Signal::net("wdata")),
-                ("wl", Signal::net("wl")),
-                ("q", Signal::slice("colq", (c + 1) * qw - 1, c * qw)),
-            ],
-        );
-    }
-    for g in 0..groups {
-        m.add_instance(
-            format!("fuse{g}"),
-            &fuse,
-            vec![
-                (
-                    "d",
-                    Signal::slice("colq", (g + 1) * bm * qw - 1, g * bm * qw),
-                ),
-                ("y", Signal::slice("fused", (g + 1) * br - 1, g * br)),
-            ],
-        );
-        m.add_instance(
-            format!("i2f{g}"),
-            &i2f,
-            vec![
-                ("d", Signal::slice("fused", (g + 1) * br - 1, g * br)),
-                ("ebase", Signal::net("ebase")),
-                ("ym", Signal::slice("ym", (g + 1) * br - 1, g * br)),
-                (
-                    "ye",
-                    Signal::slice("ye", (g + 1) * (be + 2) - 1, g * (be + 2)),
-                ),
-            ],
-        );
-    }
+    add_columns(&mut m, n, col, qw);
+    // Group g's fusion and converter, emitted as pairs: fuse0, i2f0, fuse1, …
+    m.add_replicated(
+        "fuse",
+        groups,
+        InstanceTarget::Module(fuse),
+        vec![
+            ("d", Signal::lane("colq", bm * qw)),
+            ("y", Signal::lane("fused", br)),
+        ],
+    );
+    m.add_replicated(
+        "i2f",
+        groups,
+        InstanceTarget::Module(i2f),
+        vec![
+            ("d", Signal::lane("fused", br)),
+            ("ebase", Signal::net("ebase")),
+            ("ym", Signal::lane("ym", br)),
+            ("ye", Signal::lane("ye", be + 2)),
+        ],
+    )
+    .interleaved = true;
     d.add_module(m)?;
     Ok(name)
 }

@@ -13,9 +13,9 @@ use crate::stats::cell_counts_of_module;
 pub struct ModuleStats {
     /// Module name.
     pub name: String,
-    /// Direct child-module instances.
+    /// Direct child-module instances (every copy of a replicated one).
     pub child_instances: usize,
-    /// Direct leaf-cell instances.
+    /// Direct leaf-cell instances (every copy of a replicated one).
     pub cell_instances: usize,
     /// Total leaf cells under this module (recursive).
     pub total_cells: u64,
@@ -48,7 +48,7 @@ pub fn hierarchy_stats(design: &Design) -> Result<Vec<ModuleStats>, NetlistError
         let mut child_counts: HashMap<&str, u64> = HashMap::new();
         for inst in &m.instances {
             if let InstanceTarget::Module(child) = &inst.target {
-                *child_counts.entry(child.as_str()).or_insert(0) += 1;
+                *child_counts.entry(child.as_str()).or_insert(0) += u64::from(inst.count.get());
             }
         }
         for (child, count) in child_counts {
@@ -86,12 +86,13 @@ pub fn hierarchy_stats(design: &Design) -> Result<Vec<ModuleStats>, NetlistError
         let m = design
             .module(&name)
             .ok_or_else(|| NetlistError::UnknownModule(name.clone()))?;
-        let child_instances = m
-            .instances
-            .iter()
-            .filter(|i| matches!(i.target, InstanceTarget::Module(_)))
-            .count();
-        let cell_instances = m.instances.len() - child_instances;
+        let (mut child_instances, mut cell_instances) = (0, 0);
+        for inst in &m.instances {
+            match inst.target {
+                InstanceTarget::Module(_) => child_instances += inst.count.get() as usize,
+                InstanceTarget::Cell(_) => cell_instances += inst.count.get() as usize,
+            }
+        }
         let total_cells: u64 = cell_counts_of_module(design, &name)?.values().sum();
         out.push(ModuleStats {
             instantiation_count: multiplicity.get(&name).copied().unwrap_or(0),

@@ -1,5 +1,6 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 
 use crate::cells::cell_ports;
 use sega_cells::StandardCell;
@@ -56,6 +57,26 @@ pub enum NetlistError {
         /// Net width.
         width: u32,
     },
+    /// A slice whose most significant bit is below its least significant.
+    ReversedSlice {
+        /// Containing module.
+        module: String,
+        /// Referenced net.
+        net: String,
+        /// Most significant bit.
+        msb: u32,
+        /// Least significant bit.
+        lsb: u32,
+    },
+    /// A literal of zero width, or whose value needs more than `width` bits.
+    InvalidConst {
+        /// Containing module.
+        module: String,
+        /// Literal width.
+        width: u32,
+        /// Literal value.
+        value: u64,
+    },
     /// The design has no top module set.
     NoTop,
 }
@@ -96,6 +117,23 @@ impl std::fmt::Display for NetlistError {
             } => write!(
                 f,
                 "module `{module}`: index {index} out of range for net `{net}` of width {width}"
+            ),
+            NetlistError::ReversedSlice {
+                module,
+                net,
+                msb,
+                lsb,
+            } => write!(
+                f,
+                "module `{module}`: slice [{msb}:{lsb}] of net `{net}` is reversed"
+            ),
+            NetlistError::InvalidConst {
+                module,
+                width,
+                value,
+            } => write!(
+                f,
+                "module `{module}`: literal {width}'d{value} does not fit its width"
             ),
             NetlistError::NoTop => write!(f, "design has no top module"),
         }
@@ -152,20 +190,48 @@ impl InstanceTarget {
     }
 }
 
-/// A cell or module instantiation with named port connections.
+/// A cell or module instantiation with named port connections, standing
+/// for `count` identical copies of its target.
+///
+/// A plain instance has `count == 1` and is named `name`. With
+/// `count > 1`, copy `i` is named `{name}{i}`, and a [`Signal::Lane`]
+/// connection gives copy `i` its own lane of a net; every other connection
+/// is shared by all copies. Every pass treats such an entry exactly like
+/// its expansion into `count` plain instances, copy 0 first, but does the
+/// work once per entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
-    /// Instance name (unique within the parent module).
+    /// Instance name (unique within the parent module), or the copy-name
+    /// prefix when `count > 1`.
     pub name: String,
     /// What is instantiated.
     pub target: InstanceTarget,
     /// `(port name, connected signal)` pairs. Port names are static: every
     /// target's port list is fixed by a template or by [`cell_ports`].
     pub connections: Vec<(&'static str, Signal)>,
+    /// Number of copies.
+    pub count: NonZeroU32,
+    /// When set, this entry's copies interleave with those of the entry
+    /// before it: the run expands copy-major (copy 0 of each member in
+    /// order, then copy 1, …; a member with fewer copies drops out), so
+    /// `fuse{g}`/`i2f{g}` pairs stay two entries.
+    pub interleaved: bool,
+}
+
+impl Instance {
+    /// The name of copy `copy`: `name` for a plain instance, `{name}{copy}`
+    /// for a replicated one.
+    pub fn copy_name(&self, copy: u32) -> String {
+        if self.count.get() == 1 {
+            self.name.clone()
+        } else {
+            format!("{}{copy}", self.name)
+        }
+    }
 }
 
 /// A signal expression connecting instance ports: a whole net, a bit, a
-/// slice, a constant, or a concatenation.
+/// slice, a per-copy lane, a constant, or a concatenation.
 ///
 /// Net names are [`Cow`]s: the literal names the templates use (`"clk"`,
 /// `"wl"`, …) are borrowed for free, and only generated names own a buffer.
@@ -183,6 +249,15 @@ pub enum Signal {
         msb: u32,
         /// Least significant bit (inclusive).
         lsb: u32,
+    },
+    /// Copy `i`'s lane of a net, for a connection of a replicated
+    /// [`Instance`]: the slice `net[(i+1)·width−1 : i·width]`. Anywhere
+    /// else (an assignment, a plain instance) it is copy 0's lane.
+    Lane {
+        /// Net name.
+        net: Cow<'static, str>,
+        /// Bits per copy.
+        width: NonZeroU32,
     },
     /// A literal: `width'd value`.
     Const {
@@ -216,60 +291,65 @@ impl Signal {
         }
     }
 
+    /// Convenience constructor for a per-copy lane of `width` bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero.
+    pub fn lane(name: impl Into<Cow<'static, str>>, width: u32) -> Signal {
+        Signal::Lane {
+            net: name.into(),
+            width: NonZeroU32::new(width).expect("lane width must be nonzero"),
+        }
+    }
+
     /// A `width`-bit zero.
     pub fn zeros(width: u32) -> Signal {
         Signal::Const { width, value: 0 }
     }
 
-    /// The width of this signal in the context of `module`.
+    /// The width of this signal in the context of `module`, with any
+    /// [`Signal::Lane`] read as copy 0's lane.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::UnknownNet`] / [`NetlistError::IndexOutOfRange`]
-    /// for dangling or out-of-range references.
+    /// for dangling or out-of-range references,
+    /// [`NetlistError::ReversedSlice`] for a slice with `msb < lsb` and
+    /// [`NetlistError::InvalidConst`] for a literal that does not fit.
     pub fn width(&self, module: &Module) -> Result<u32, NetlistError> {
         match self {
-            Signal::Net(name) => module
-                .net_width(name)
-                .ok_or_else(|| NetlistError::UnknownNet {
-                    module: module.name.clone(),
-                    net: name.to_string(),
-                }),
+            Signal::Net(name) => net_width(module, name),
             Signal::Bit(name, bit) => {
-                let w = module
-                    .net_width(name)
-                    .ok_or_else(|| NetlistError::UnknownNet {
-                        module: module.name.clone(),
-                        net: name.to_string(),
-                    })?;
-                if *bit >= w {
-                    return Err(NetlistError::IndexOutOfRange {
-                        module: module.name.clone(),
-                        net: name.to_string(),
-                        index: *bit,
-                        width: w,
-                    });
-                }
+                in_range(module, name, *bit)?;
                 Ok(1)
             }
             Signal::Slice { net, msb, lsb } => {
-                let w = module
-                    .net_width(net)
-                    .ok_or_else(|| NetlistError::UnknownNet {
+                in_range(module, net, *msb)?;
+                if msb < lsb {
+                    return Err(NetlistError::ReversedSlice {
                         module: module.name.clone(),
                         net: net.to_string(),
-                    })?;
-                if *msb >= w {
-                    return Err(NetlistError::IndexOutOfRange {
-                        module: module.name.clone(),
-                        net: net.to_string(),
-                        index: *msb,
-                        width: w,
+                        msb: *msb,
+                        lsb: *lsb,
                     });
                 }
                 Ok(msb - lsb + 1)
             }
-            Signal::Const { width, .. } => Ok(*width),
+            Signal::Lane { net, width } => {
+                in_range(module, net, width.get() - 1)?;
+                Ok(width.get())
+            }
+            Signal::Const { width, value } => {
+                if *width == 0 || (*width < 64 && value >> width != 0) {
+                    return Err(NetlistError::InvalidConst {
+                        module: module.name.clone(),
+                        width: *width,
+                        value: *value,
+                    });
+                }
+                Ok(*width)
+            }
             Signal::Concat(parts) => {
                 let mut total = 0;
                 for p in parts {
@@ -279,6 +359,63 @@ impl Signal {
             }
         }
     }
+
+    /// The first copy, below `count`, at which a lane of this signal runs
+    /// past its net, as the error the expanded instance would report there.
+    /// Copy 0 must already have passed [`Signal::width`]; lanes grow with
+    /// the copy index, so each fails first at copy `net width / lane width`
+    /// and the earliest lane (in evaluation order on a tie) wins.
+    fn lane_overrun(&self, module: &Module, count: u32) -> Option<(u32, NetlistError)> {
+        let mut first: Option<(u32, &str, u32)> = None;
+        self.for_each_lane(&mut |net, width| {
+            let net_width = module.net_width(net).expect("checked at copy 0");
+            let copy = net_width / width.get();
+            if copy < first.map_or(count, |(c, _, _)| c) {
+                first = Some((copy, net, width.get()));
+            }
+        });
+        first.map(|(copy, net, width)| {
+            let msb = (u64::from(copy) + 1) * u64::from(width) - 1;
+            let err = NetlistError::IndexOutOfRange {
+                module: module.name.clone(),
+                net: net.to_owned(),
+                index: u32::try_from(msb).unwrap_or(u32::MAX),
+                width: module.net_width(net).expect("checked at copy 0"),
+            };
+            (copy, err)
+        })
+    }
+
+    fn for_each_lane<'s>(&'s self, f: &mut impl FnMut(&'s str, NonZeroU32)) {
+        match self {
+            Signal::Lane { net, width } => f(net, *width),
+            Signal::Concat(parts) => parts.iter().for_each(|p| p.for_each_lane(f)),
+            _ => {}
+        }
+    }
+}
+
+fn net_width(module: &Module, name: &str) -> Result<u32, NetlistError> {
+    module
+        .net_width(name)
+        .ok_or_else(|| NetlistError::UnknownNet {
+            module: module.name.clone(),
+            net: name.to_owned(),
+        })
+}
+
+/// Fails unless bit `index` exists on net `name`.
+fn in_range(module: &Module, name: &str, index: u32) -> Result<(), NetlistError> {
+    let width = net_width(module, name)?;
+    if index >= width {
+        return Err(NetlistError::IndexOutOfRange {
+            module: module.name.clone(),
+            net: name.to_owned(),
+            index,
+            width,
+        });
+    }
+    Ok(())
 }
 
 /// A netlist module: ports, internal wires, instances and continuous
@@ -372,11 +509,7 @@ impl Module {
         cell: StandardCell,
         connections: Vec<(&'static str, Signal)>,
     ) {
-        self.instances.push(Instance {
-            name: name.into(),
-            target: InstanceTarget::Cell(cell),
-            connections,
-        });
+        self.push_instance(name.into(), InstanceTarget::Cell(cell), connections, 1);
     }
 
     /// Instantiates a child module with named connections.
@@ -386,10 +519,52 @@ impl Module {
         module: impl Into<String>,
         connections: Vec<(&'static str, Signal)>,
     ) {
-        self.instances.push(Instance {
-            name: name.into(),
-            target: InstanceTarget::Module(module.into()),
+        self.push_instance(
+            name.into(),
+            InstanceTarget::Module(module.into()),
             connections,
+            1,
+        );
+    }
+
+    /// Instantiates `count` copies of `target` as one entry, named
+    /// `{prefix}0` … `{prefix}{count-1}` (a single copy is `{prefix}0`).
+    /// [`Signal::Lane`] connections give each copy its own lane; all
+    /// others are shared. Returns the entry, e.g. to mark it
+    /// [`interleaved`](Instance::interleaved).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero.
+    pub fn add_replicated(
+        &mut self,
+        prefix: &str,
+        count: u32,
+        target: InstanceTarget,
+        connections: Vec<(&'static str, Signal)>,
+    ) -> &mut Instance {
+        let name = if count == 1 {
+            format!("{prefix}0")
+        } else {
+            prefix.to_owned()
+        };
+        self.push_instance(name, target, connections, count);
+        self.instances.last_mut().expect("just pushed")
+    }
+
+    fn push_instance(
+        &mut self,
+        name: String,
+        target: InstanceTarget,
+        connections: Vec<(&'static str, Signal)>,
+        count: u32,
+    ) {
+        self.instances.push(Instance {
+            name,
+            target,
+            connections,
+            count: NonZeroU32::new(count).expect("an instance has at least one copy"),
+            interleaved: false,
         });
     }
 
@@ -486,6 +661,9 @@ impl Design {
     /// exists, every connection names a real port, and every connected
     /// signal's width matches the port width.
     ///
+    /// A replicated entry is checked once: copy 0 in full, then only how
+    /// far its lanes reach, and the result is the one its expansion into
+    /// plain instances would give (same variant, instance name and index).
     /// Port widths are read in place from [`cell_ports`] or the child's
     /// port list. A design from [`crate::generators::generate_macro`] is
     /// already validated and marked, so this returns at once for it until
@@ -500,38 +678,26 @@ impl Design {
         }
         self.top()?;
         for module in &self.modules {
-            for inst in &module.instances {
-                let child = match &inst.target {
-                    InstanceTarget::Cell(_) => None,
-                    InstanceTarget::Module(name) => Some(
-                        self.module(name)
-                            .ok_or_else(|| NetlistError::UnknownModule(name.clone()))?,
-                    ),
-                };
-                for (port, signal) in &inst.connections {
-                    let expected = match &inst.target {
-                        InstanceTarget::Cell(cell) => cell_ports(*cell)
-                            .iter()
-                            .find(|(name, _, _)| name == port)
-                            .map(|&(_, width, _)| width),
-                        InstanceTarget::Module(_) => {
-                            child.and_then(|c| c.port(port)).map(|p| p.width)
+            for run in interleaved_runs(&module.instances) {
+                // Copy 0 of every member, in order, checks everything…
+                for inst in run {
+                    self.validate_copy0(module, inst)?;
+                }
+                // …so later copies can only differ by a lane running past
+                // its net. Report the first such copy in expansion order.
+                let mut first: Option<(u32, NetlistError)> = None;
+                for inst in run {
+                    for (_, signal) in &inst.connections {
+                        let bound = first
+                            .as_ref()
+                            .map_or(inst.count.get(), |(c, _)| inst.count.get().min(*c));
+                        if let Some(overrun) = signal.lane_overrun(module, bound) {
+                            first = Some(overrun);
                         }
                     }
-                    .ok_or_else(|| NetlistError::UnknownPort {
-                        instance: inst.name.clone(),
-                        target: inst.target.name().to_owned(),
-                        port: (*port).to_owned(),
-                    })?;
-                    let actual = signal.width(module)?;
-                    if actual != expected {
-                        return Err(NetlistError::WidthMismatch {
-                            instance: inst.name.clone(),
-                            port: (*port).to_owned(),
-                            expected,
-                            actual,
-                        });
-                    }
+                }
+                if let Some((_, err)) = first {
+                    return Err(err);
                 }
             }
             for (lhs, rhs) in &module.assigns {
@@ -545,6 +711,42 @@ impl Design {
                         actual: rw,
                     });
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks copy 0 of `inst`: its target, every port name and every
+    /// connection's width. Port widths are the same for every copy.
+    fn validate_copy0(&self, module: &Module, inst: &Instance) -> Result<(), NetlistError> {
+        let child = match &inst.target {
+            InstanceTarget::Cell(_) => None,
+            InstanceTarget::Module(name) => Some(
+                self.module(name)
+                    .ok_or_else(|| NetlistError::UnknownModule(name.clone()))?,
+            ),
+        };
+        for (port, signal) in &inst.connections {
+            let expected = match &inst.target {
+                InstanceTarget::Cell(cell) => cell_ports(*cell)
+                    .iter()
+                    .find(|(name, _, _)| name == port)
+                    .map(|&(_, width, _)| width),
+                InstanceTarget::Module(_) => child.and_then(|c| c.port(port)).map(|p| p.width),
+            }
+            .ok_or_else(|| NetlistError::UnknownPort {
+                instance: inst.copy_name(0),
+                target: inst.target.name().to_owned(),
+                port: (*port).to_owned(),
+            })?;
+            let actual = signal.width(module)?;
+            if actual != expected {
+                return Err(NetlistError::WidthMismatch {
+                    instance: inst.copy_name(0),
+                    port: (*port).to_owned(),
+                    expected,
+                    actual,
+                });
             }
         }
         Ok(())
@@ -564,6 +766,12 @@ impl Design {
         self.validated = true;
         Ok(())
     }
+}
+
+/// Splits a module's entries into runs that expand together: an entry
+/// marked [`interleaved`](Instance::interleaved) joins the run before it.
+pub(crate) fn interleaved_runs(instances: &[Instance]) -> impl Iterator<Item = &[Instance]> {
+    instances.chunk_by(|_, next| next.interleaved)
 }
 
 #[cfg(test)]
@@ -858,6 +1066,191 @@ mod tests {
     }
 
     #[test]
+    fn validate_error_reversed_slice() {
+        // Built by hand: `Signal::slice` refuses it. This used to underflow
+        // `msb - lsb + 1`.
+        let reversed = Signal::Slice {
+            net: "a".into(),
+            msb: 1,
+            lsb: 3,
+        };
+        let d = tiny_design(vec![], Some((Signal::net("t"), reversed)));
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::ReversedSlice {
+                module: "tiny".into(),
+                net: "a".into(),
+                msb: 1,
+                lsb: 3,
+            })
+        );
+    }
+
+    #[test]
+    fn validate_error_invalid_const() {
+        for (width, value) in [(1, 7), (0, 0), (4, 16)] {
+            let d = tiny_design(vec![("a", Signal::Const { width, value })], None);
+            assert_eq!(
+                d.validate(),
+                Err(NetlistError::InvalidConst {
+                    module: "tiny".into(),
+                    width,
+                    value,
+                }),
+                "{width}'d{value}"
+            );
+        }
+        for (width, value) in [(1, 1), (4, 15), (64, u64::MAX)] {
+            let mut m = tiny_module();
+            m.add_wire("k", width).unwrap();
+            m.add_assign(Signal::net("k"), Signal::Const { width, value });
+            let mut d = Design::new();
+            d.add_module(m).unwrap();
+            d.set_top("tiny").unwrap();
+            assert_eq!(d.validate(), Ok(()), "{width}'d{value}");
+        }
+    }
+
+    /// `tiny` holding one replicated NOR entry per `(count, y lane net,
+    /// interleaved)`, each driving a lane of its net; `lanes` is 6 bits,
+    /// `u` 2 bits like `t`.
+    fn replicated_design(entries: &[(u32, &'static str, bool)]) -> Design {
+        let mut m = tiny_module();
+        m.add_wire("lanes", 6).unwrap();
+        m.add_wire("u", 2).unwrap();
+        for (e, &(count, net, interleaved)) in entries.iter().enumerate() {
+            m.add_replicated(
+                &format!("r{e}_"),
+                count,
+                InstanceTarget::Cell(StandardCell::Nor),
+                vec![
+                    ("a", Signal::bit("a", 0)),
+                    ("b", Signal::bit("a", 1)),
+                    ("y", Signal::lane(net, 1)),
+                ],
+            )
+            .interleaved = interleaved;
+        }
+        let mut d = Design::new();
+        d.add_module(m).unwrap();
+        d.set_top("tiny").unwrap();
+        d
+    }
+
+    fn out_of_range(net: &str, index: u32, width: u32) -> Result<(), NetlistError> {
+        Err(NetlistError::IndexOutOfRange {
+            module: "tiny".into(),
+            net: net.into(),
+            index,
+            width,
+        })
+    }
+
+    #[test]
+    fn replicated_lanes_report_the_first_failing_copy() {
+        assert_eq!(replicated_design(&[(6, "lanes", false)]).validate(), Ok(()));
+        // Copies 0–5 fit; copy 6 is the first past the net.
+        assert_eq!(
+            replicated_design(&[(9, "lanes", false)]).validate(),
+            out_of_range("lanes", 6, 6)
+        );
+        // `t` (2 bits) fails at copy 2, before `lanes` fails at copy 6,
+        // although its entry comes second: the run expands copy-major.
+        assert_eq!(
+            replicated_design(&[(9, "lanes", false), (3, "t", true)]).validate(),
+            out_of_range("t", 2, 2)
+        );
+        // Not interleaved, the first entry's copies all come first.
+        assert_eq!(
+            replicated_design(&[(9, "lanes", false), (3, "t", false)]).validate(),
+            out_of_range("lanes", 6, 6)
+        );
+        // A member with too few copies to reach its overrun is fine.
+        assert_eq!(
+            replicated_design(&[(9, "lanes", false), (2, "t", true)]).validate(),
+            out_of_range("lanes", 6, 6)
+        );
+        // On a tie, the earlier member of the run is expanded first.
+        assert_eq!(
+            replicated_design(&[(3, "t", false), (3, "u", true)]).validate(),
+            out_of_range("t", 2, 2)
+        );
+        assert_eq!(
+            replicated_design(&[(3, "u", false), (3, "t", true)]).validate(),
+            out_of_range("u", 2, 2)
+        );
+    }
+
+    #[test]
+    fn replicated_lanes_tie_in_evaluation_order() {
+        // Both lanes of the concatenation first fail at copy 2; `t2` is
+        // evaluated first.
+        let mut parent = Module::new("parent");
+        parent.add_wire("t2", 2).unwrap();
+        parent.add_wire("u2", 2).unwrap();
+        parent.add_replicated(
+            "c",
+            3,
+            InstanceTarget::Module("tiny".into()),
+            vec![(
+                "a",
+                Signal::Concat(vec![
+                    Signal::zeros(2),
+                    Signal::lane("t2", 1),
+                    Signal::lane("u2", 1),
+                ]),
+            )],
+        );
+        let mut d = Design::new();
+        d.add_module(tiny_module()).unwrap();
+        d.add_module(parent).unwrap();
+        d.set_top("parent").unwrap();
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::IndexOutOfRange {
+                module: "parent".into(),
+                net: "t2".into(),
+                index: 2,
+                width: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn replicated_errors_name_copy_zero() {
+        let mut m = tiny_module();
+        m.add_replicated(
+            "r",
+            4,
+            InstanceTarget::Cell(StandardCell::Nor),
+            vec![("y", Signal::lane("a", 2))],
+        );
+        let mut d = Design::new();
+        d.add_module(m).unwrap();
+        d.set_top("tiny").unwrap();
+        assert_eq!(
+            d.validate(),
+            Err(NetlistError::WidthMismatch {
+                instance: "r0".into(),
+                port: "y".into(),
+                expected: 1,
+                actual: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn copy_names() {
+        let mut m = Module::new("m");
+        let one = m
+            .add_replicated("u", 1, InstanceTarget::Cell(StandardCell::Nor), vec![])
+            .clone();
+        let many = m.add_replicated("v", 3, InstanceTarget::Cell(StandardCell::Nor), vec![]);
+        assert_eq!(one.copy_name(0), "u0");
+        assert_eq!(many.copy_name(2), "v2");
+    }
+
+    #[test]
     fn mutation_clears_the_validated_mark() {
         let mut d = tiny_design(vec![("y", Signal::net("y"))], None);
         d.validate_and_mark().unwrap();
@@ -879,6 +1272,17 @@ mod tests {
         let errs = [
             NetlistError::DuplicateModule("m".into()),
             NetlistError::NoTop,
+            NetlistError::ReversedSlice {
+                module: "m".into(),
+                net: "n".into(),
+                msb: 0,
+                lsb: 1,
+            },
+            NetlistError::InvalidConst {
+                module: "m".into(),
+                width: 1,
+                value: 2,
+            },
             NetlistError::UnknownNet {
                 module: "m".into(),
                 net: "n".into(),

@@ -6,7 +6,9 @@
 //! route. This crate is that generator:
 //!
 //! * a hierarchical structural **netlist IR** ([`Design`], [`Module`],
-//!   [`Instance`], [`Signal`]) with width-checked connections,
+//!   [`Instance`], [`Signal`]) with width-checked connections, where one
+//!   instance entry may stand for N identical copies (the macro's
+//!   columns) with per-copy [`Signal::Lane`] connections,
 //! * **template generators** for every DCIM block of paper Fig. 3
 //!   ([`generators`]) — compute unit, adder tree, shift accumulator, result
 //!   fusion, FP pre-alignment, INT-to-FP converter, input buffer, SRAM

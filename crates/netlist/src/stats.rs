@@ -2,7 +2,8 @@
 //!
 //! [`cell_counts`] recursively counts every Table III standard cell in a
 //! hierarchical [`Design`] (with memoization, so deep hierarchies cost one
-//! traversal per module definition). [`audit`] then cross-checks the
+//! traversal per module definition, and a replicated instance costs one
+//! multiplication). [`audit`] then cross-checks the
 //! generated hardware against a [`MacroEstimate`]: the paper's whole flow
 //! rests on the estimator predicting what the generator builds, and here
 //! that property is enforced to floating-point precision.
@@ -56,12 +57,13 @@ fn counts_rec<'d>(
         .ok_or_else(|| NetlistError::UnknownModule(module.to_owned()))?;
     let mut counts = [0; ALL_CELLS.len()];
     for inst in &m.instances {
+        let copies = u64::from(inst.count.get());
         match &inst.target {
-            InstanceTarget::Cell(cell) => counts[*cell as usize] += 1,
+            InstanceTarget::Cell(cell) => counts[*cell as usize] += copies,
             InstanceTarget::Module(child) => {
                 let child = counts_rec(design, child, memo)?;
                 for (total, n) in counts.iter_mut().zip(child) {
-                    *total += n;
+                    *total += n * copies;
                 }
             }
         }

@@ -11,13 +11,14 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use crate::cells::cell_verilog;
-use crate::ir::{Design, Dir, InstanceTarget, Module, NetlistError, Signal};
+use crate::ir::{interleaved_runs, Design, Dir, InstanceTarget, Module, NetlistError, Signal};
 use sega_cells::ALL_CELLS;
 
 /// Emits the whole design as self-contained structural Verilog.
 ///
-/// The text is streamed into one buffer: no per-line or per-connection
-/// strings are built along the way.
+/// The text is streamed into one buffer. Each instance entry's line is
+/// rendered once; a replicated entry then writes only its copy index and
+/// lane bounds per copy.
 ///
 /// # Errors
 ///
@@ -118,58 +119,165 @@ fn emit_module(out: &mut String, m: &Module) {
         push_decl(out, w.width, &w.name);
         out.push_str(";\n");
     }
+    let mut line = Line::default();
     for (lhs, rhs) in &m.assigns {
-        out.push_str("  assign ");
-        render_into(out, lhs);
-        out.push_str(" = ");
-        render_into(out, rhs);
-        out.push_str(";\n");
+        line.clear();
+        line.text.push_str("  assign ");
+        line.push_signal(lhs);
+        line.text.push_str(" = ");
+        line.push_signal(rhs);
+        line.text.push_str(";\n");
+        line.write_copy(out, 0);
     }
-    for inst in &m.instances {
-        out.push_str("  ");
-        out.push_str(inst.target.name());
-        out.push(' ');
-        out.push_str(&inst.name);
-        out.push_str(" (");
-        for (i, (port, sig)) in inst.connections.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+    let mut lines: Vec<Line> = Vec::new();
+    for run in interleaved_runs(&m.instances) {
+        lines.resize_with(run.len(), Line::default);
+        let mut bytes = 0;
+        for (line, inst) in lines.iter_mut().zip(run) {
+            line.clear();
+            line.text.push_str("  ");
+            line.text.push_str(inst.target.name());
+            line.text.push(' ');
+            line.text.push_str(&inst.name);
+            if inst.count.get() > 1 {
+                line.holes.push((line.text.len(), Hole::Index));
             }
-            out.push('.');
-            out.push_str(port);
-            out.push('(');
-            render_into(out, sig);
-            out.push(')');
+            line.text.push_str(" (");
+            for (i, (port, sig)) in inst.connections.iter().enumerate() {
+                if i > 0 {
+                    line.text.push_str(", ");
+                }
+                line.text.push('.');
+                line.text.push_str(port);
+                line.text.push('(');
+                line.push_signal(sig);
+                line.text.push(')');
+            }
+            line.text.push_str(");\n");
+            bytes += line.max_len(inst.count.get()) * inst.count.get() as usize;
         }
-        out.push_str(");\n");
+        out.reserve(bytes);
+        let copies = run.iter().map(|inst| inst.count.get()).max().unwrap_or(0);
+        for copy in 0..copies {
+            for (line, inst) in lines.iter().zip(run) {
+                if copy < inst.count.get() {
+                    line.write_copy(out, copy);
+                }
+            }
+        }
     }
     out.push_str("endmodule\n\n");
 }
 
-/// Appends a signal expression, rendered as Verilog, to `out`.
-fn render_into(out: &mut String, signal: &Signal) {
-    match signal {
-        Signal::Net(n) => out.push_str(n),
-        Signal::Bit(n, b) => {
-            let _ = write!(out, "{n}[{b}]");
-        }
-        Signal::Slice { net, msb, lsb } => {
-            let _ = write!(out, "{net}[{msb}:{lsb}]");
-        }
-        Signal::Const { width, value } => {
-            let _ = write!(out, "{width}'d{value}");
-        }
-        Signal::Concat(parts) => {
-            out.push('{');
-            for (i, part) in parts.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                render_into(out, part);
+/// One rendered line: its constant text, plus the byte offsets where each
+/// copy writes its own index or lane bounds.
+#[derive(Default)]
+struct Line {
+    text: String,
+    holes: Vec<(usize, Hole)>,
+}
+
+#[derive(Clone, Copy)]
+enum Hole {
+    /// The copy index, after the instance name prefix.
+    Index,
+    /// `[msb:lsb]` of the copy's lane of this many bits.
+    Lane(u32),
+}
+
+impl Line {
+    fn clear(&mut self) {
+        self.text.clear();
+        self.holes.clear();
+    }
+
+    /// Appends a signal expression, rendered as Verilog; a lane leaves a
+    /// hole after its net name.
+    fn push_signal(&mut self, signal: &Signal) {
+        let out = &mut self.text;
+        match signal {
+            Signal::Net(n) => out.push_str(n),
+            Signal::Bit(n, b) => {
+                let _ = write!(out, "{n}[{b}]");
             }
-            out.push('}');
+            Signal::Slice { net, msb, lsb } => {
+                let _ = write!(out, "{net}[{msb}:{lsb}]");
+            }
+            Signal::Lane { net, width } => {
+                out.push_str(net);
+                self.holes.push((out.len(), Hole::Lane(width.get())));
+            }
+            Signal::Const { width, value } => {
+                let _ = write!(out, "{width}'d{value}");
+            }
+            Signal::Concat(parts) => {
+                out.push('{');
+                for (i, part) in parts.iter().enumerate() {
+                    if i > 0 {
+                        self.text.push_str(", ");
+                    }
+                    self.push_signal(part);
+                }
+                self.text.push('}');
+            }
         }
     }
+
+    /// An upper bound on the bytes [`write_copy`](Line::write_copy) writes
+    /// for any copy below `count`.
+    fn max_len(&self, count: u32) -> usize {
+        let last = u64::from(count - 1);
+        let holes: usize = self
+            .holes
+            .iter()
+            .map(|&(_, hole)| match hole {
+                Hole::Index => digits(last),
+                Hole::Lane(w) => 3 + 2 * digits((last + 1) * u64::from(w)),
+            })
+            .sum();
+        self.text.len() + holes
+    }
+
+    /// Writes the line for copy `copy`.
+    fn write_copy(&self, out: &mut String, copy: u32) {
+        let mut at = 0;
+        for &(pos, hole) in &self.holes {
+            out.push_str(&self.text[at..pos]);
+            match hole {
+                Hole::Index => push_uint(out, u64::from(copy)),
+                Hole::Lane(w) => {
+                    let lsb = u64::from(copy) * u64::from(w);
+                    out.push('[');
+                    push_uint(out, lsb + u64::from(w) - 1);
+                    out.push(':');
+                    push_uint(out, lsb);
+                    out.push(']');
+                }
+            }
+            at = pos;
+        }
+        out.push_str(&self.text[at..]);
+    }
+}
+
+/// Decimal digits of `n`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends `n` in decimal, without the formatting machinery.
+fn push_uint(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -215,8 +323,10 @@ mod tests {
     }
 
     fn render(signal: &Signal) -> String {
+        let mut line = Line::default();
+        line.push_signal(signal);
         let mut out = String::new();
-        render_into(&mut out, signal);
+        line.write_copy(&mut out, 0);
         out
     }
 
